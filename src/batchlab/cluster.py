@@ -1,12 +1,14 @@
 """Deterministic in-process simulation of P-worker synchronous SGD.
 
-Each worker holds a full replica of the network and a contiguous slice of
-the global batch.  Local gradients are per-example sums over the slice,
-reduced across workers with a fixed pairwise-left tree; the summed gradient
-is divided by the global batch size once and the identical momentum step is
-applied on every replica.  Because the same reduction tree drives the
-single-worker path, the P-worker trajectory is bitwise-identical to the
-1-worker one whenever the local batch size is a power of two.
+Every worker reads one shared parameter store and holds a contiguous slice
+of the global batch.  In synchronous SGD all workers apply the same reduced
+gradient with the same rule, so their replicas are identical by construction
+and one store stands for all of them; the simulator updates it once per step.
+Local gradients are per-example tree sums over each slice, reduced across
+workers with the same pairwise tree; the summed gradient is divided by the
+global batch size once.  When the local batch size is a power of two the
+per-worker trees compose into the tree a single worker would use, so the
+P-worker trajectory is bitwise-identical to the 1-worker one.
 """
 
 import time
@@ -90,7 +92,8 @@ def partition_batch(batch_x, batch_y, workers):
 
 
 def make_workers(net, count):
-    return [WorkerState(j, net.clone()) for j in range(count)]
+    """`count` workers that all read the one parameter store `net`."""
+    return [WorkerState(j, net) for j in range(count)]
 
 
 def assign_batch(workers, batch_x, batch_y):
@@ -99,12 +102,11 @@ def assign_batch(workers, batch_x, batch_y):
 
 
 def check_synchronized(workers):
-    if len(workers) == 1:
-        return
-    sums = [w.net.checksum() for w in workers]
-    if len(set(sums)) != 1:
-        bad = [w.worker_id for w, s in zip(workers, sums) if s != sums[0]]
-        raise ConsistencyError(f"replicas desynchronized: workers {bad} differ from worker 0")
+    """Raise ConsistencyError unless every worker reads worker 0's store."""
+    net = workers[0].net
+    bad = [w.worker_id for w in workers if w.net is not net]
+    if bad:
+        raise ConsistencyError(f"workers {bad} do not share worker 0's parameter store")
 
 
 def local_gradients(workers):
@@ -115,10 +117,9 @@ def local_gradients(workers):
     Returns (loss_sum, correct_count, [grads per worker]).
     """
     check_synchronized(workers)
-    nets = [w.net for w in workers]
     xs = [w.batch_x for w in workers]
     ys = [w.batch_y for w in workers]
-    return nn.forward_backward_shards(nets, xs, ys)
+    return nn.forward_backward_shards(workers[0].net, xs, ys)
 
 
 def all_reduce(grad_sets):
@@ -138,22 +139,20 @@ def all_reduce(grad_sets):
 
 
 def global_step(run, workers, hp, st):
-    """One synchronous iteration: local grads, all-reduce, identical update.
+    """One synchronous iteration: local grads, all-reduce, one shared update.
 
-    Returns (mean_loss, correct_count, lambdas).
+    Returns (mean_loss, correct_count, lr, lambdas), where lr is the
+    scheduled learning rate the update applied.
     """
     loss_sum, correct, grads = local_gradients(workers)
     summed = all_reduce(grads)
     b = sum(len(w.batch_x) for w in workers)
-    mean = {name: arr / b for name, arr in summed.items()}
+    params = workers[0].net.params
+    params.set_grads({name: arr / b for name, arr in summed.items()})
     lr = optim.scheduled_lr(hp, st)
-    lambdas = None
-    for w in workers:
-        w.net.params.set_grads(mean)
-        lambdas = optim.apply_update(w.net.params, hp, lr, iteration=st.iteration)
+    lambdas = optim.apply_update(params, hp, lr, iteration=st.iteration)
     st.iteration += 1
-    check_synchronized(workers)
-    return loss_sum / b, correct, lambdas
+    return loss_sum / b, correct, lr, lambdas
 
 
 def train(run, specs, dataset, hp, eval_test=True):
@@ -177,12 +176,12 @@ def train(run, specs, dataset, hp, eval_test=True):
         raise ConfigError(f"batch size {b} exceeds training set size {n}")
     st = optim.ScheduleState(optim.max_iterations(hp.epochs, n, b), ipe)
 
-    base = nn.init_network(specs, run.seed)
-    workers = make_workers(base, run.workers)
+    net = nn.init_network(specs, run.seed)
+    workers = make_workers(net, run.workers)
     log = TrainingLog()
 
     has_test = eval_test and getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
-    test_acc = nn.accuracy(workers[0].net, dataset.test_x, dataset.test_y) if has_test else float("nan")
+    test_acc = nn.accuracy(net, dataset.test_x, dataset.test_y) if has_test else float("nan")
 
     epoch = 0
     while st.iteration < st.max_iterations:
@@ -192,10 +191,9 @@ def train(run, specs, dataset, hp, eval_test=True):
                 break
             idx = perm[k * b:(k + 1) * b]
             assign_batch(workers, train_x[idx], train_y[idx])
-            lr = optim.scheduled_lr(hp, st)
             t0 = time.perf_counter()
             try:
-                loss, correct, lambdas = global_step(run, workers, hp, st)
+                loss, correct, lr, lambdas = global_step(run, workers, hp, st)
             except (NumericOverflowError, DivergenceError):
                 log.status = f"diverged@{st.iteration}"
                 return log
@@ -218,7 +216,7 @@ def train(run, specs, dataset, hp, eval_test=True):
                 log.status = f"diverged@{st.iteration - 1}"
                 return log
         if has_test:
-            test_acc = nn.accuracy(workers[0].net, dataset.test_x, dataset.test_y)
+            test_acc = nn.accuracy(net, dataset.test_x, dataset.test_y)
             if log.rows:
                 log.rows[-1].test_acc = test_acc
         epoch += 1

@@ -1,8 +1,9 @@
 """Experiment configuration: a flat INI-style key=value format.
 
 Sections: [network], [hyper], [cluster], [dataset], [output], and an
-optional [cost] for the analytical model.  parse_config(write_config(cfg))
-returns an equal ExperimentConfig.
+optional [cost] for the analytical model.  Unknown sections and keys are
+rejected, so a misspelled option fails instead of silently taking its
+default.  parse_config(write_config(cfg)) returns an equal ExperimentConfig.
 """
 
 import configparser
@@ -40,8 +41,20 @@ class ExperimentConfig:
     seed: int
     dataset: DatasetConfig
     output_dir: str
-    formats: tuple = ("csv",)
     cost: CostConfig = field(default_factory=CostConfig)
+
+
+KNOWN_KEYS = {
+    "network": {"layers"},
+    "hyper": {
+        "base_lr", "epochs", "batch_size", "momentum", "weight_decay", "poly_power",
+        "warmup_epochs", "lars_enabled", "lars_trust", "lars_skip",
+    },
+    "cluster": {"workers", "seed"},
+    "dataset": {"kind", "n", "num_classes", "input_dim", "seed", "noise", "images", "labels"},
+    "output": {"dir"},
+    "cost": {"network", "gamma"},
+}
 
 
 def parse_layers(text):
@@ -107,7 +120,19 @@ def parse_config_string(text, origin="<string>"):
     return _from_parser(cp, origin)
 
 
+def _check_known(cp, origin):
+    unknown = []
+    for sec in cp.sections():
+        if sec not in KNOWN_KEYS:
+            unknown.append(f"section [{sec}]")
+        else:
+            unknown += [f"key {sec}.{key}" for key in cp[sec] if key not in KNOWN_KEYS[sec]]
+    if unknown:
+        raise ConfigError(f"{origin}: unknown {', '.join(unknown)}")
+
+
 def _from_parser(cp, origin):
+    _check_known(cp, origin)
     try:
         layers = parse_layers(cp["network"]["layers"])
         h = cp["hyper"]
@@ -154,7 +179,6 @@ def _from_parser(cp, origin):
             seed=int(c["seed"]),
             dataset=dataset,
             output_dir=o["dir"].strip(),
-            formats=tuple(x.strip() for x in o.get("formats", "csv").split(",") if x.strip()),
             cost=cost,
         )
     except KeyError as exc:
@@ -201,7 +225,6 @@ def config_items(cfg):
             items.append(("dataset", "noise", repr(ds.noise)))
     items += [
         ("output", "dir", cfg.output_dir),
-        ("output", "formats", ",".join(cfg.formats)),
         ("cost", "network", cfg.cost.network),
         ("cost", "gamma", repr(cfg.cost.gamma)),
     ]

@@ -30,7 +30,6 @@ class ClusterSpec:
     beta: float  # seconds per word (1/bandwidth)
     gamma: float  # seconds per flop
     word_bytes: int = 4
-    flops_per_second_total: float = None  # optional whole-machine rate
     ring_stage_payload: bool = False  # stage carries |W|/P instead of |W|
 
     def __post_init__(self):

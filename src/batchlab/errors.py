@@ -30,7 +30,7 @@ class PartitionError(BatchLabError):
 
 
 class ConsistencyError(BatchLabError):
-    """Worker replicas diverged where they must be bitwise-identical."""
+    """A worker reads a parameter store other than the one all workers share."""
 
 
 class ProtocolError(BatchLabError):

@@ -8,9 +8,8 @@ run and the single-worker run perform bit-identical arithmetic (batch-norm
 statistics are computed over the *global* batch, sync-BN style).
 """
 
-import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,23 +87,10 @@ class ParamSet:
     def __getitem__(self, name):
         return self._by_name[name]
 
-    def names(self):
-        return [g.name for g in self.groups]
-
-    def zero_grads(self):
-        for g in self.groups:
-            g.grad.fill(0.0)
-
     def set_grads(self, grads):
         """Copy a name -> array mapping into the grad buffers."""
         for g in self.groups:
             np.copyto(g.grad, grads[g.name])
-
-    def copy(self):
-        return ParamSet(
-            ParamGroup(g.name, g.param.copy(), g.grad.copy(), g.momentum_buf.copy(), g.category)
-            for g in self.groups
-        )
 
     def checksum(self):
         h = hashlib.sha256()
@@ -157,16 +143,6 @@ class Network:
         self.num_classes = num_classes
         self._live_cache = None
 
-    def clone(self):
-        twin = Network(
-            self.specs,
-            self.params.copy(),
-            {i: {"mean": s["mean"].copy(), "var": s["var"].copy()} for i, s in self.bn_state.items()},
-            self.input_dim,
-            self.num_classes,
-        )
-        return twin
-
     def checksum(self):
         h = hashlib.sha256()
         h.update(self.params.checksum().encode())
@@ -174,14 +150,6 @@ class Network:
             h.update(self.bn_state[i]["mean"].tobytes())
             h.update(self.bn_state[i]["var"].tobytes())
         return h.hexdigest()
-
-    def group_names_for_layer(self, i):
-        kind = self.specs[i].kind
-        if kind == DENSE:
-            return (f"dense{i}.weight", f"dense{i}.bias")
-        if kind == BATCHNORM:
-            return (f"bn{i}.scale", f"bn{i}.shift")
-        return ()
 
 
 def init_network(specs, seed):
@@ -224,11 +192,8 @@ def init_network(specs, seed):
 
 @dataclass
 class EngineCache:
-    shard_sizes: list
-    layer_records: list  # per layer: list of per-shard records
-    probs: list  # per-shard softmax probabilities
-    labels: list
     global_n: int
+    grads: dict  # sum-convention gradients, precomputed by forward_loss
     owner: object = None
 
 
@@ -247,20 +212,23 @@ def _dense_backward_input(d, w):
     return (d[:, None, :] * w[None, :, :]).sum(axis=2)
 
 
-def forward_backward_shards(networks, shard_x, shard_y, update_running=True):
-    """Run one synchronous forward+backward over batch shards.
+def forward_backward_shards(net, shard_x, shard_y, update_running=True):
+    """Run one synchronous forward+backward of `net` over batch shards.
 
-    `networks[j]` serves shard j; all networks must be bitwise-identical
-    replicas (shard j only ever reads replica j).  Batch-norm statistics and
-    their backward coupling terms are reduced over the global batch with the
-    canonical tree, so results are independent of the shard layout for
-    power-of-two shard sizes.
+    Every shard reads the same network.  Per-example terms are summed within
+    each shard with the canonical tree, and the per-shard partials combine
+    with the same tree; for power-of-two shard sizes the per-shard trees
+    compose into the tree of the whole batch, so results are independent of
+    the shard layout.  Batch-norm statistics and their backward coupling
+    terms are reduced over the global batch this way (sync-BN), and the
+    running statistics are updated once per layer.
 
     Returns (loss_sum, correct_count, shard_grads) where loss_sum is the
     tree-sum of per-example losses, correct_count the number of argmax hits,
     and shard_grads a per-shard dict of sum-convention parameter gradients.
     """
-    specs = networks[0].specs
+    specs = net.specs
+    params = net.params
     nshards = len(shard_x)
     sizes = [len(x) for x in shard_x]
     n = sum(sizes)
@@ -270,45 +238,37 @@ def forward_backward_shards(networks, shard_x, shard_y, update_running=True):
 
     for i, s in enumerate(specs):
         if s.kind == DENSE:
-            per = []
-            for j in range(nshards):
-                g_w = networks[j].params[f"dense{i}.weight"]
-                g_b = networks[j].params[f"dense{i}.bias"]
-                x = acts[j]
-                acts[j] = _dense_forward(x, g_w.param, g_b.param)
-                _check_finite(acts[j], i)
-                per.append({"x": x})
-            records.append(per)
+            w = params[f"dense{i}.weight"].param
+            b = params[f"dense{i}.bias"].param
+            records.append(acts)
+            acts = [_dense_forward(x, w, b) for x in acts]
+            for a in acts:
+                _check_finite(a, i)
         elif s.kind == RELU:
-            per = []
-            for j in range(nshards):
-                mask = acts[j] > 0
-                acts[j] = acts[j] * mask
-                per.append({"mask": mask})
-            records.append(per)
+            masks = [a > 0 for a in acts]
+            records.append(masks)
+            acts = [a * m for a, m in zip(acts, masks)]
         elif s.kind == BATCHNORM:
             if n < 2:
                 raise DegenerateBatchError(
                     f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
                 )
-            s1 = tree_reduce([tree_sum(acts[j]) for j in range(nshards)])
-            s2 = tree_reduce([tree_sum(acts[j] * acts[j]) for j in range(nshards)])
+            s1 = tree_reduce([tree_sum(a) for a in acts])
+            s2 = tree_reduce([tree_sum(a * a) for a in acts])
             mean = s1 / n
             var = np.maximum(s2 / n - mean * mean, 0.0)
             inv = 1.0 / np.sqrt(var + s.eps)
-            per = []
-            for j in range(nshards):
-                gamma = networks[j].params[f"bn{i}.scale"].param
-                beta = networks[j].params[f"bn{i}.shift"].param
-                xhat = (acts[j] - mean) * inv
-                acts[j] = gamma * xhat + beta
-                _check_finite(acts[j], i)
-                per.append({"xhat": xhat, "inv": inv})
-                if update_running:
-                    st = networks[j].bn_state[i]
-                    st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
-                    st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
-            records.append(per)
+            gamma = params[f"bn{i}.scale"].param
+            beta = params[f"bn{i}.shift"].param
+            xhats = [(a - mean) * inv for a in acts]
+            records.append((xhats, inv))
+            acts = [gamma * xhat + beta for xhat in xhats]
+            for a in acts:
+                _check_finite(a, i)
+            if update_running:
+                st = net.bn_state[i]
+                st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
+                st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
         else:  # softmax-xent, last layer
             records.append(None)
 
@@ -341,30 +301,28 @@ def forward_backward_shards(networks, shard_x, shard_y, update_running=True):
 
     for i in range(len(specs) - 2, -1, -1):
         s = specs[i]
-        per = records[i]
+        rec = records[i]
         if s.kind == DENSE:
+            w = params[f"dense{i}.weight"].param
             for j in range(nshards):
-                x = per[j]["x"]
+                x = rec[j]
                 d = deltas[j]
                 shard_grads[j][f"dense{i}.weight"] = tree_sum(np.einsum("bi,bj->bij", x, d))
                 shard_grads[j][f"dense{i}.bias"] = tree_sum(d)
-                w = networks[j].params[f"dense{i}.weight"].param
                 deltas[j] = _dense_backward_input(d, w)
         elif s.kind == RELU:
-            for j in range(nshards):
-                deltas[j] = deltas[j] * per[j]["mask"]
+            deltas = [d * m for d, m in zip(deltas, rec)]
         elif s.kind == BATCHNORM:
-            t1 = [tree_sum(deltas[j]) for j in range(nshards)]
-            t2 = [tree_sum(deltas[j] * per[j]["xhat"]) for j in range(nshards)]
+            xhats, inv = rec
+            gamma = params[f"bn{i}.scale"].param
+            t1 = [tree_sum(d) for d in deltas]
+            t2 = [tree_sum(d * xhat) for d, xhat in zip(deltas, xhats)]
             big_t1 = tree_reduce(t1)
             big_t2 = tree_reduce(t2)
             for j in range(nshards):
-                gamma = networks[j].params[f"bn{i}.scale"].param
-                xhat = per[j]["xhat"]
-                inv = per[j]["inv"]
                 shard_grads[j][f"bn{i}.scale"] = t2[j]
                 shard_grads[j][f"bn{i}.shift"] = t1[j]
-                deltas[j] = gamma * inv * (deltas[j] - big_t1 / n - xhat * (big_t2 / n))
+                deltas[j] = gamma * inv * (deltas[j] - big_t1 / n - xhats[j] * (big_t2 / n))
     return loss_sum, correct, shard_grads
 
 
@@ -382,13 +340,11 @@ def forward_loss(net, inputs, labels, update_running=True):
         )
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= net.num_classes:
         raise ConfigError("labels out of range")
-    loss_sum, correct, shard_grads = forward_backward_shards(
-        [net], [inputs], [labels], update_running=update_running
+    loss_sum, _, shard_grads = forward_backward_shards(
+        net, [inputs], [labels], update_running=update_running
     )
     n = len(inputs)
-    cache = EngineCache([n], [], [], [], n, owner=net)
-    cache._shard_grads = shard_grads  # backward is precomputed; cache gates it
-    cache._correct = correct
+    cache = EngineCache(n, shard_grads[0], owner=net)  # backward is precomputed; cache gates it
     net._live_cache = cache
     return loss_sum / n, cache
 
@@ -399,7 +355,7 @@ def backward(net, cache):
         raise StaleCacheError("backward() requires the cache from the most recent forward_loss()")
     n = cache.global_n
     for g in net.params:
-        np.copyto(g.grad, cache._shard_grads[0][g.name] / n)
+        np.copyto(g.grad, cache.grads[g.name] / n)
     net._live_cache = None
 
 

@@ -84,6 +84,7 @@ class TestLocalGradients:
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)
         workers = ready_workers(SMALL_SPECS, 5, x, y, 2)
+        workers[1].net = nn.init_network(SMALL_SPECS, 5)
         workers[1].net.params["dense0.weight"].param[0, 0] += 1.0
         with pytest.raises(ConsistencyError):
             cluster.local_gradients(workers)

@@ -1,3 +1,4 @@
+import re
 import struct
 import subprocess
 import sys
@@ -50,6 +51,17 @@ class TestConfigFormat:
     def test_bad_layer_entry(self):
         with pytest.raises(ConfigError):
             config.parse_layers("dense 2")
+
+    @pytest.mark.parametrize("edit, name", [
+        (("lars_enabled = true", "lars_enable = true"), "hyper.lars_enable"),
+        (("dir = run\n", "dir = run\nformats = parquet\n"), "output.formats"),
+        (("[output]", "[extra]\nkey = 1\n\n[output]"), "[extra]"),
+    ])
+    def test_unknown_key_or_section_is_config_error(self, tmp_path, edit, name):
+        text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
+        assert edit[0] in text
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            config.parse_config_string(text.replace(*edit))
 
 
 class TestRunExperiment:

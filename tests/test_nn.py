@@ -186,7 +186,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((64, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        _, correct, _ = nn.forward_backward_shards([net], [x], [np.zeros(64, dtype=int)])
+        _, correct, _ = nn.forward_backward_shards(net, [x], [np.zeros(64, dtype=int)])
         # recompute the bn output directly through the eval-path arithmetic
         mean = x.mean(axis=0)
         var = (x * x).mean(axis=0) - mean * mean
