@@ -42,6 +42,12 @@ class ClusterRun:
                 f"global batch {self.global_batch} not divisible by {self.workers} workers"
             )
 
+    @property
+    def bitwise_invariant(self):
+        """P == 1 or B/P a power of two: the split then gives the 1-worker bits."""
+        local = self.global_batch // self.workers
+        return self.workers == 1 or (local & (local - 1)) == 0
+
 
 @dataclass
 class WorkerState:

@@ -76,7 +76,8 @@ def iteration_time(profile, spec, batch_size):
 
     t_comp = flops/image * (B/P) * gamma.  One tree stage costs
     t_comm = alpha + beta * payload, payload |W| words by default (|W|/P with
-    ring_stage_payload), and the iteration pays log2(P) stages.
+    ring_stage_payload), and the iteration pays ceil(log2 P) stages: the depth
+    of the pairwise tree the simulator's all-reduce runs.
     """
     if batch_size % spec.workers != 0:
         raise ConfigError(f"batch {batch_size} not divisible by P={spec.workers}")
@@ -84,7 +85,7 @@ def iteration_time(profile, spec, batch_size):
     t_comp = profile.flops_per_image * local * spec.gamma
     payload = profile.num_params / spec.workers if spec.ring_stage_payload else profile.num_params
     t_comm = spec.alpha + spec.beta * payload
-    t_iter = t_comp + math.log2(spec.workers) * t_comm
+    t_iter = t_comp + _stages(spec.workers) * t_comm
     return t_comp, t_comm, t_iter
 
 

@@ -1,11 +1,12 @@
 """Minimal feed-forward network engine with exact analytic gradients.
 
 Layers: dense, batchnorm, relu, and a terminal softmax cross-entropy loss.
-Everything is float64.  All batch-level reductions use the deterministic
-pairwise tree from :mod:`batchlab.reduction`, and the whole forward/backward
-is expressed over a list of batch shards so that a P-worker data-parallel
-run and the single-worker run perform bit-identical arithmetic (batch-norm
-statistics are computed over the *global* batch, sync-BN style).
+Everything is float64.  One array carries the whole batch through the
+layers; a P-worker split only orders the batch sums: a pairwise tree (from
+:mod:`batchlab.reduction`) within each worker's slice, then the same tree
+over the P partials.  For power-of-two slices that is the single-worker tree,
+so both runs perform bit-identical arithmetic (batch-norm statistics are
+computed over the *global* batch, sync-BN style).
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from .errors import (
     ConfigError,
     DegenerateBatchError,
     NumericOverflowError,
+    PartitionError,
     StaleCacheError,
 )
 from .reduction import tree_reduce, tree_sum
@@ -213,12 +215,13 @@ def _dense_backward_input(d, w):
 
 
 def forward_backward_shards(net, shard_x, shard_y, update_running=True):
-    """Run one synchronous forward+backward of `net` over batch shards.
+    """Run one synchronous forward+backward of `net` over equal batch shards.
 
-    Every shard reads the same network.  Per-example terms are summed within
-    each shard with the canonical tree, and the per-shard partials combine
-    with the same tree; for power-of-two shard sizes the per-shard trees
-    compose into the tree of the whole batch, so results are independent of
+    The shards are concatenated and every layer runs once over the batch;
+    dense kernels go one shard at a time to bound their (shard x in x out)
+    temporaries.  Every batch sum is a canonical tree within each shard, and
+    the per-shard partials combine with the same tree; for power-of-two shard
+    sizes this is the tree of the whole batch, so results are independent of
     the shard layout.  Batch-norm statistics and their backward coupling
     terms are reduced over the global batch this way (sync-BN), and the
     running statistics are updated once per layer.
@@ -227,44 +230,47 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     tree-sum of per-example losses, correct_count the number of argmax hits,
     and shard_grads a per-shard dict of sum-convention parameter gradients.
     """
+    sizes = [len(x) for x in shard_x]
+    if len(set(sizes)) > 1:
+        raise PartitionError(f"shards of unequal size {sizes}")
     specs = net.specs
     params = net.params
-    nshards = len(shard_x)
-    sizes = [len(x) for x in shard_x]
-    n = sum(sizes)
-    acts = [np.asarray(x, dtype=np.float64) for x in shard_x]
-    labels = [np.asarray(y, dtype=np.int64) for y in shard_y]
-    records = []
+    nshards, m = len(sizes), sizes[0]
+    n = nshards * m
+    a = np.asarray(np.concatenate(shard_x), dtype=np.float64)
+    labels = np.asarray(np.concatenate(shard_y), dtype=np.int64)
 
+    def shards(v):
+        return v.reshape(nshards, m, *v.shape[1:])
+
+    def shard_sums(v):
+        # one tree_sum over the (m, P, ...) view builds all P per-shard trees
+        return tree_sum(shards(v).swapaxes(0, 1))
+
+    records = []
     for i, s in enumerate(specs):
         if s.kind == DENSE:
             w = params[f"dense{i}.weight"].param
             b = params[f"dense{i}.bias"].param
-            records.append(acts)
-            acts = [_dense_forward(x, w, b) for x in acts]
-            for a in acts:
-                _check_finite(a, i)
+            records.append(a)
+            a = np.concatenate([_dense_forward(x, w, b) for x in shards(a)])
+            _check_finite(a, i)
         elif s.kind == RELU:
-            masks = [a > 0 for a in acts]
-            records.append(masks)
-            acts = [a * m for a, m in zip(acts, masks)]
+            mask = a > 0
+            records.append(mask)
+            a = a * mask
         elif s.kind == BATCHNORM:
             if n < 2:
                 raise DegenerateBatchError(
                     f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
                 )
-            s1 = tree_reduce([tree_sum(a) for a in acts])
-            s2 = tree_reduce([tree_sum(a * a) for a in acts])
-            mean = s1 / n
-            var = np.maximum(s2 / n - mean * mean, 0.0)
+            mean = tree_reduce(list(shard_sums(a))) / n
+            var = np.maximum(tree_reduce(list(shard_sums(a * a))) / n - mean * mean, 0.0)
             inv = 1.0 / np.sqrt(var + s.eps)
-            gamma = params[f"bn{i}.scale"].param
-            beta = params[f"bn{i}.shift"].param
-            xhats = [(a - mean) * inv for a in acts]
-            records.append((xhats, inv))
-            acts = [gamma * xhat + beta for xhat in xhats]
-            for a in acts:
-                _check_finite(a, i)
+            xhat = (a - mean) * inv
+            records.append((xhat, inv))
+            a = params[f"bn{i}.scale"].param * xhat + params[f"bn{i}.shift"].param
+            _check_finite(a, i)
             if update_running:
                 st = net.bn_state[i]
                 st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
@@ -273,57 +279,42 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
             records.append(None)
 
     # terminal softmax cross-entropy
-    probs = []
-    correct = 0
-    shard_loss = []
-    for j in range(nshards):
-        z = acts[j]
-        _check_finite(z, len(specs) - 1)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
-        idx = np.arange(sizes[j])
-        with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
-            losses = -np.log(p[idx, labels[j]])
-        _check_finite(losses, len(specs) - 1)
-        shard_loss.append(tree_sum(losses))
-        correct += int(np.count_nonzero(p.argmax(axis=1) == labels[j]))
-        probs.append(p)
-    loss_sum = float(tree_reduce(shard_loss))
+    _check_finite(a, len(specs) - 1)
+    z = a - a.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    idx = np.arange(n)
+    with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
+        losses = -np.log(p[idx, labels])
+    _check_finite(losses, len(specs) - 1)
+    loss_sum = float(tree_reduce(list(shard_sums(losses))))
+    correct = int(np.count_nonzero(p.argmax(axis=1) == labels))
 
-    # backward, sum convention
-    shard_grads = [dict() for _ in range(nshards)]
-    deltas = []
-    for j in range(nshards):
-        onehot = np.zeros_like(probs[j])
-        onehot[np.arange(sizes[j]), labels[j]] = 1.0
-        deltas.append(probs[j] - onehot)
-
+    # backward, sum convention; each gradient is indexed by shard
+    grads = {}
+    d = p
+    d[idx, labels] -= 1.0  # softmax minus one-hot
     for i in range(len(specs) - 2, -1, -1):
         s = specs[i]
         rec = records[i]
         if s.kind == DENSE:
             w = params[f"dense{i}.weight"].param
-            for j in range(nshards):
-                x = rec[j]
-                d = deltas[j]
-                shard_grads[j][f"dense{i}.weight"] = tree_sum(np.einsum("bi,bj->bij", x, d))
-                shard_grads[j][f"dense{i}.bias"] = tree_sum(d)
-                deltas[j] = _dense_backward_input(d, w)
+            gw, dx = [], []
+            for x, dj in zip(shards(rec), shards(d)):
+                gw.append(tree_sum(np.einsum("bi,bj->bij", x, dj)))
+                dx.append(_dense_backward_input(dj, w))
+            grads[f"dense{i}.weight"] = gw
+            grads[f"dense{i}.bias"] = shard_sums(d)
+            d = np.concatenate(dx)
         elif s.kind == RELU:
-            deltas = [d * m for d, m in zip(deltas, rec)]
+            d = d * rec
         elif s.kind == BATCHNORM:
-            xhats, inv = rec
-            gamma = params[f"bn{i}.scale"].param
-            t1 = [tree_sum(d) for d in deltas]
-            t2 = [tree_sum(d * xhat) for d, xhat in zip(deltas, xhats)]
-            big_t1 = tree_reduce(t1)
-            big_t2 = tree_reduce(t2)
-            for j in range(nshards):
-                shard_grads[j][f"bn{i}.scale"] = t2[j]
-                shard_grads[j][f"bn{i}.shift"] = t1[j]
-                deltas[j] = gamma * inv * (deltas[j] - big_t1 / n - xhats[j] * (big_t2 / n))
-    return loss_sum, correct, shard_grads
+            xhat, inv = rec
+            grads[f"bn{i}.shift"] = t1 = shard_sums(d)
+            grads[f"bn{i}.scale"] = t2 = shard_sums(d * xhat)
+            big_t1, big_t2 = tree_reduce(list(t1)), tree_reduce(list(t2))
+            d = params[f"bn{i}.scale"].param * inv * (d - big_t1 / n - xhat * (big_t2 / n))
+    return loss_sum, correct, [{k: g[j] for k, g in grads.items()} for j in range(nshards)]
 
 
 # ---------------------------------------------------------------------------

@@ -55,16 +55,15 @@ def build_dataset(ds):
 
 def network_profile(specs, name="experiment"):
     """Analytical profile of the configured network (dense-dominated)."""
-    params = 0
+    # |W| is counted on the ParamSet the network really builds
+    params = sum(g.param.size for g in nn.init_network(specs, 0).params)
     flops = 0.0
     width = specs[0].in_dim
     for s in specs:
         if s.kind == nn.DENSE:
-            params += s.in_dim * s.out_dim + s.out_dim
             flops += DENSE_FLOPS_FACTOR * s.in_dim * s.out_dim
             width = s.out_dim
         elif s.kind == nn.BATCHNORM:
-            params += 2 * width
             flops += 10 * width
     return costmodel.ModelProfile(name, params, float(flops))
 
@@ -113,7 +112,8 @@ def run_experiment(cfg, output_root=None):
     report = cost_report(cfg, dataset.n_train)
 
     out_dir = resolve_output_dir(cfg, output_root)
-    meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train)])
+    meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train),
+                              ("run.bitwise_invariant", str(run.bitwise_invariant).lower())])
 
     _write_csv(
         out_dir / "log.csv",

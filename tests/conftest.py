@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import batchlab
 from batchlab import data, nn
+
+# Tests that run `python -m batchlab` in a subprocess must import the same
+# package as the tests themselves, whether it is installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(batchlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"),
+]))
 
 MLP_SPECS = [
     nn.dense(2, 64), nn.batchnorm(), nn.relu(),

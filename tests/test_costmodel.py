@@ -73,6 +73,15 @@ class TestIterationTime:
         assert t_comp == t_comp1
         assert t_iter == t_comp + t_comm  # log2(2) == 1
 
+    def test_three_workers_pay_two_tree_stages(self):
+        # the pairwise tree over 3 partials is 2 deep, as tree_reduce runs it
+        spec = self._spec(3)
+        t_comp, t_comm, t_iter = costmodel.iteration_time(resnet50(), spec, 1536)
+        assert t_iter == t_comp + 2 * t_comm
+        rep = costmodel.total_time(resnet50(), spec, 100, 1_280_000, 1536)
+        assert rep.messages == 2 * rep.iterations
+        assert rep.t_iter == t_iter
+
     def test_compute_time_from_published_constants(self):
         t_comp, _, _ = costmodel.iteration_time(resnet50(), self._spec(1), 512)
         assert t_comp == pytest.approx(7.7e9 * 512 * 0.9e-13, rel=1e-12)

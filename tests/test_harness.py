@@ -7,6 +7,7 @@ import pytest
 
 from batchlab import cli, config, data, nn, runner
 from batchlab.errors import ConfigError
+from conftest import MLP_SPECS
 
 
 def spirals_cfg(tmp_path, name="run", batch_size=32, workers=1, epochs=2, base_lr=0.05,
@@ -94,6 +95,18 @@ class TestRunExperiment:
         a = [(r.iteration, r.lr, r.loss, r.train_acc, r.test_acc) for r in logs[1].rows]
         b = [(r.iteration, r.lr, r.loss, r.train_acc, r.test_acc) for r in logs[4].rows]
         assert a == b
+
+    @pytest.mark.parametrize("batch_size, flag", [(24, "false"), (32, "true")])
+    def test_bitwise_invariant_in_every_header(self, tmp_path, batch_size, flag):
+        # two workers: local batch 12 breaks tree composition, 16 keeps it
+        cfg = spirals_cfg(tmp_path, batch_size=batch_size, workers=2, epochs=1, lars=True)
+        res = runner.run_experiment(cfg, output_root=tmp_path)
+        for name in ("log.csv", "lambdas.csv", "cost.csv"):
+            meta, _ = runner.read_csv(res.out_dir / name)
+            assert meta["run.bitwise_invariant"] == flag
+
+    def test_profile_counts_the_built_parameters(self):
+        assert runner.network_profile(MLP_SPECS).num_params == 4803
 
     def test_lambda_csv_emitted_for_lars(self, tmp_path):
         cfg = spirals_cfg(tmp_path, lars=True)
