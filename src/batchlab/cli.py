@@ -6,6 +6,7 @@ Subcommands: train, sweep, cost, tables.  Exit codes: 0 success,
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import config, costmodel, runner
 from .errors import ConfigError, FormatError
@@ -62,9 +63,8 @@ def _cmd_cost(args):
     profile = costmodel.model_preset(args.model)
     spec = costmodel.cluster_preset(args.cluster, workers=args.workers, gamma=args.gamma)
     report = costmodel.total_time(profile, spec, args.epochs, args.n, args.batch)
-    for key in ("iterations", "messages", "comm_volume_words", "t_comp_per_iter",
-                "t_comm_per_iter", "t_iter", "total_time", "total_flops", "energy_joules"):
-        print(f"{key}: {getattr(report, key)}")
+    for f in fields(report):
+        print(f"{f.name}: {getattr(report, f.name)}")
     return runner.EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn, optim
+from . import costmodel, nn, optim
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -155,9 +155,7 @@ def global_step(run, workers, hp, st):
     b = sum(len(w.batch_x) for w in workers)
     params = workers[0].net.params
     params.set_grads({name: arr / b for name, arr in summed.items()})
-    lr = optim.scheduled_lr(hp, st)
-    lambdas = optim.apply_update(params, hp, lr, iteration=st.iteration)
-    st.iteration += 1
+    lr, lambdas = optim.sgd_step(params, hp, st)
     return loss_sum / b, correct, lr, lambdas
 
 
@@ -173,21 +171,23 @@ def train(run, specs, dataset, hp, eval_test=True):
         raise ConfigError(
             f"cluster batch {run.global_batch} != optimizer batch {hp.batch_size}"
         )
-    train_x = np.asarray(dataset.train_x, dtype=np.float64)
-    train_y = np.asarray(dataset.train_y, dtype=np.int64)
+    net = nn.init_network(specs, run.seed)
+    train_x, train_y = nn.check_batch(net, dataset.train_x, dataset.train_y)
     n = len(train_x)
     b = hp.batch_size
     ipe = n // b
     if ipe == 0:
         raise ConfigError(f"batch size {b} exceeds training set size {n}")
-    st = optim.ScheduleState(optim.max_iterations(hp.epochs, n, b), ipe)
+    st = optim.ScheduleState(costmodel.iterations(hp.epochs, n, b), ipe)
 
-    net = nn.init_network(specs, run.seed)
     workers = make_workers(net, run.workers)
     log = TrainingLog()
 
     has_test = eval_test and getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
-    test_acc = nn.accuracy(net, dataset.test_x, dataset.test_y) if has_test else float("nan")
+    test_acc = float("nan")
+    if has_test:
+        test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
+        test_acc = nn.accuracy(net, test_x, test_y)
 
     epoch = 0
     while st.iteration < st.max_iterations:
@@ -222,7 +222,7 @@ def train(run, specs, dataset, hp, eval_test=True):
                 log.status = f"diverged@{st.iteration - 1}"
                 return log
         if has_test:
-            test_acc = nn.accuracy(net, dataset.test_x, dataset.test_y)
+            test_acc = nn.accuracy(net, test_x, test_y)
             if log.rows:
                 log.rows[-1].test_acc = test_acc
         epoch += 1

@@ -29,8 +29,6 @@ class ClusterSpec:
     alpha: float  # per-message latency, seconds
     beta: float  # seconds per word (1/bandwidth)
     gamma: float  # seconds per flop
-    word_bytes: int = 4
-    ring_stage_payload: bool = False  # stage carries |W|/P instead of |W|
 
     def __post_init__(self):
         if self.workers < 1:
@@ -74,17 +72,16 @@ def _stages(workers):
 def iteration_time(profile, spec, batch_size):
     """(t_comp, t_comm, t_iter) for one iteration.
 
-    t_comp = flops/image * (B/P) * gamma.  One tree stage costs
-    t_comm = alpha + beta * payload, payload |W| words by default (|W|/P with
-    ring_stage_payload), and the iteration pays ceil(log2 P) stages: the depth
-    of the pairwise tree the simulator's all-reduce runs.
+    t_comp = flops/image * (B/P) * gamma.  One tree stage moves the whole
+    gradient, t_comm = alpha + beta * |W|, and the iteration pays
+    ceil(log2 P) stages: the depth of the pairwise tree the simulator's
+    all-reduce runs.
     """
     if batch_size % spec.workers != 0:
         raise ConfigError(f"batch {batch_size} not divisible by P={spec.workers}")
     local = batch_size // spec.workers
     t_comp = profile.flops_per_image * local * spec.gamma
-    payload = profile.num_params / spec.workers if spec.ring_stage_payload else profile.num_params
-    t_comm = spec.alpha + spec.beta * payload
+    t_comm = spec.alpha + spec.beta * profile.num_params
     t_iter = t_comp + _stages(spec.workers) * t_comm
     return t_comp, t_comm, t_iter
 
@@ -94,20 +91,18 @@ def total_flops(profile, epochs, n):
     return epochs * n * profile.flops_per_image
 
 
-def total_time(profile, spec, epochs, n, batch_size, energy=None,
-               comm_energy_class="32 bit DRAM access"):
+def total_time(profile, spec, epochs, n, batch_size):
     """Full-run CostReport; total_time == iterations * t_iter exactly.
 
     Energy prices computation as a 50/50 float add/multiply mix and each
-    communicated 32-bit word as one access of `comm_energy_class`.
+    communicated 32-bit word as one DRAM access.
     """
     iters = iterations(epochs, n, batch_size)
     t_comp, t_comm, t_iter = iteration_time(profile, spec, batch_size)
     volume = comm_volume(profile, epochs, n, batch_size)
     flops = total_flops(profile, epochs, n)
-    table = energy if energy is not None else energy_table()
-    pj_per_flop = 0.5 * (table["32 bit float add"] + table["32 bit float multiply"])
-    energy_joules = (flops * pj_per_flop + volume * table[comm_energy_class]) * 1e-12
+    pj_per_flop = 0.5 * (_ENERGY_PJ["32 bit float add"] + _ENERGY_PJ["32 bit float multiply"])
+    energy_joules = (flops * pj_per_flop + volume * _ENERGY_PJ["32 bit DRAM access"]) * 1e-12
     return CostReport(
         iterations=iters,
         messages=iters * _stages(spec.workers),
@@ -174,12 +169,12 @@ def model_preset(name):
         raise ConfigError(f"unknown model preset {name!r}; have {sorted(_MODEL_PRESETS)}")
 
 
-def cluster_preset(name, workers=1, gamma=P100_GAMMA, **overrides):
+def cluster_preset(name, workers=1, gamma=P100_GAMMA):
     try:
         alpha, beta = _NETWORK_PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown network preset {name!r}; have {sorted(_NETWORK_PRESETS)}")
-    return ClusterSpec(workers=workers, alpha=alpha, beta=beta, gamma=gamma, **overrides)
+    return ClusterSpec(workers=workers, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def energy_table():

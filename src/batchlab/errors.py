@@ -17,10 +17,6 @@ class NumericOverflowError(BatchLabError):
         super().__init__(message or f"non-finite activations at layer {layer_index}")
 
 
-class StaleCacheError(BatchLabError):
-    """backward() called with a cache that does not match the last forward()."""
-
-
 class DegenerateBatchError(BatchLabError):
     """Batch statistics requested on a batch too small to define them."""
 

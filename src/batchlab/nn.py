@@ -19,7 +19,6 @@ from .errors import (
     DegenerateBatchError,
     NumericOverflowError,
     PartitionError,
-    StaleCacheError,
 )
 from .reduction import tree_reduce, tree_sum
 
@@ -143,7 +142,6 @@ class Network:
         self.bn_state = bn_state  # layer index -> dict(mean, var)
         self.input_dim = input_dim
         self.num_classes = num_classes
-        self._live_cache = None
 
     def checksum(self):
         h = hashlib.sha256()
@@ -191,13 +189,6 @@ def init_network(specs, seed):
 # ---------------------------------------------------------------------------
 # sharded forward / backward engine
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EngineCache:
-    global_n: int
-    grads: dict  # sum-convention gradients, precomputed by forward_loss
-    owner: object = None
-
 
 def _check_finite(arr, layer_index):
     if not np.all(np.isfinite(arr)):
@@ -318,36 +309,38 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
 
 
 # ---------------------------------------------------------------------------
-# single-network convenience API (mean-loss convention)
+# batch check and single-network API (mean-loss convention)
 # ---------------------------------------------------------------------------
 
-def forward_loss(net, inputs, labels, update_running=True):
-    """Mean softmax cross-entropy over the batch; returns (loss, cache)."""
+def check_batch(net, inputs, labels):
+    """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
+
+    The inputs must be 2-D with `net.input_dim` columns and every label must
+    name one of the network's `num_classes` outputs.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
         raise ConfigError(
             f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
         )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= net.num_classes:
-        raise ConfigError("labels out of range")
+    lo, hi = labels.min(initial=0), labels.max(initial=0)
+    if lo < 0 or hi >= net.num_classes:
+        raise ConfigError(
+            f"labels span [{lo}, {hi}] but the network has {net.num_classes} classes"
+        )
+    return inputs, labels
+
+
+def loss_and_grad(net, inputs, labels, update_running=True):
+    """Mean softmax cross-entropy over the batch; fills the grad buffers with its gradient."""
+    inputs, labels = check_batch(net, inputs, labels)
     loss_sum, _, shard_grads = forward_backward_shards(
         net, [inputs], [labels], update_running=update_running
     )
     n = len(inputs)
-    cache = EngineCache(n, shard_grads[0], owner=net)  # backward is precomputed; cache gates it
-    net._live_cache = cache
-    return loss_sum / n, cache
-
-
-def backward(net, cache):
-    """Fill grad buffers with the gradient of the *mean* batch loss."""
-    if cache is None or cache.owner is not net or net._live_cache is not cache:
-        raise StaleCacheError("backward() requires the cache from the most recent forward_loss()")
-    n = cache.global_n
-    for g in net.params:
-        np.copyto(g.grad, cache.grads[g.name] / n)
-    net._live_cache = None
+    net.params.set_grads({name: g / n for name, g in shard_grads[0].items()})
+    return loss_sum / n
 
 
 def predict_logits(net, inputs):

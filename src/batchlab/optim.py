@@ -12,7 +12,7 @@ ill-conditioned.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,22 +135,12 @@ def apply_update(params, hp, lr, iteration=0):
 
 
 def sgd_step(params, hp, st):
-    """Scheduled momentum/LARS step; advances the iteration counter."""
+    """Scheduled momentum/LARS step; advances the iteration counter.
+
+    Returns (lr, lambdas): the scheduled rate applied and the per-group
+    LARS multipliers.
+    """
     lr = scheduled_lr(hp, st)
     lambdas = apply_update(params, hp, lr, iteration=st.iteration)
     st.iteration += 1
-    return lambdas
-
-
-def max_iterations(epochs, n, batch_size):
-    """Iteration budget for a fixed-epoch run: floor(E * n / B)."""
-    return (epochs * n) // batch_size
-
-
-def schedule_table(hp, st_template):
-    """(iteration, lr) rows for the full schedule, for CSV dumps."""
-    rows = []
-    for it in range(st_template.max_iterations):
-        st = ScheduleState(st_template.max_iterations, st_template.iterations_per_epoch, it)
-        rows.append((it, scheduled_lr(hp, st)))
-    return rows
+    return lr, lambdas

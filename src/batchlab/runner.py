@@ -8,7 +8,7 @@ configuration, so any row is reproducible from its own header.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +99,15 @@ def read_csv(path):
     return meta, list(csv.DictReader(lines))
 
 
+def _columns(record_type):
+    return [f.name for f in fields(record_type)]
+
+
+def _record_row(record, columns):
+    """Column -> repr(value) for a dataclass record; repr round-trips floats."""
+    return {name: repr(getattr(record, name)) for name in columns}
+
+
 def _config_meta(cfg, extra=()):
     meta = [(f"{sec}.{key}", value) for sec, key, value in config.config_items(cfg)]
     return meta + list(extra)
@@ -115,18 +124,12 @@ def run_experiment(cfg, output_root=None):
     meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train),
                               ("run.bitwise_invariant", str(run.bitwise_invariant).lower())])
 
+    log_columns = _columns(cluster.LogRow)
     _write_csv(
         out_dir / "log.csv",
         meta,
-        ["epoch", "iteration", "lr", "loss", "train_acc", "test_acc",
-         "lambda_min", "lambda_med", "lambda_max", "wall_ms"],
-        ({
-            "epoch": r.epoch, "iteration": r.iteration, "lr": repr(r.lr),
-            "loss": repr(r.loss), "train_acc": repr(r.train_acc),
-            "test_acc": repr(r.test_acc), "lambda_min": repr(r.lambda_min),
-            "lambda_med": repr(r.lambda_med), "lambda_max": repr(r.lambda_max),
-            "wall_ms": f"{r.wall_ms:.3f}",
-        } for r in log.rows),
+        log_columns,
+        ({**_record_row(r, log_columns), "wall_ms": f"{r.wall_ms:.3f}"} for r in log.rows),
     )
 
     if log.lambda_history:
@@ -139,23 +142,8 @@ def run_experiment(cfg, output_root=None):
              for i, lam in enumerate(log.lambda_history)),
         )
 
-    _write_csv(
-        out_dir / "cost.csv",
-        meta,
-        ["iterations", "messages", "comm_volume_words", "t_comp_per_iter",
-         "t_comm_per_iter", "t_iter", "total_time", "total_flops", "energy_joules"],
-        [{
-            "iterations": report.iterations,
-            "messages": report.messages,
-            "comm_volume_words": report.comm_volume_words,
-            "t_comp_per_iter": repr(report.t_comp_per_iter),
-            "t_comm_per_iter": repr(report.t_comm_per_iter),
-            "t_iter": repr(report.t_iter),
-            "total_time": repr(report.total_time),
-            "total_flops": repr(report.total_flops),
-            "energy_joules": repr(report.energy_joules),
-        }],
-    )
+    cost_columns = _columns(costmodel.CostReport)
+    _write_csv(out_dir / "cost.csv", meta, cost_columns, [_record_row(report, cost_columns)])
     return ExperimentResult(cfg, log, report, out_dir)
 
 

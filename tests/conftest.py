@@ -50,9 +50,9 @@ def numeric_gradients(net, x, y, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = nn.forward_loss(net, x, y, update_running=False)
+            lp = nn.loss_and_grad(net, x, y, update_running=False)
             flat[i] = orig - h
-            lm, _ = nn.forward_loss(net, x, y, update_running=False)
+            lm = nn.loss_and_grad(net, x, y, update_running=False)
             flat[i] = orig
             nflat[i] = (lp - lm) / (2 * h)
         out[g.name] = num
@@ -61,8 +61,7 @@ def numeric_gradients(net, x, y, h=1e-5):
 
 def gradient_errors(net, x, y):
     """name -> norm-relative error between analytic and numeric gradients."""
-    loss, cache = nn.forward_loss(net, x, y, update_running=False)
-    nn.backward(net, cache)
+    nn.loss_and_grad(net, x, y, update_running=False)
     analytic = {g.name: g.grad.copy() for g in net.params}
     numeric = numeric_gradients(net, x, y)
     errs = {}

@@ -55,8 +55,7 @@ class TestLocalGradients:
         _, _, grads = cluster.local_gradients(workers)
 
         ref = nn.init_network(SMALL_SPECS, 7)
-        _, cache = nn.forward_loss(ref, x, y)
-        nn.backward(ref, cache)
+        nn.loss_and_grad(ref, x, y)
         for g in ref.params:
             # exact because B = 8 is a power of two
             assert np.array_equal(grads[0][g.name], 8 * g.grad)
@@ -153,8 +152,7 @@ class TestGlobalStep:
 
         ref = nn.init_network(SMALL_SPECS, 2)
         st2 = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
-        _, cache = nn.forward_loss(ref, x, y)
-        nn.backward(ref, cache)
+        nn.loss_and_grad(ref, x, y)
         optim.sgd_step(ref.params, hp, st2)
         for a, b in zip(workers[0].net.params, ref.params):
             assert np.array_equal(a.param, b.param)
@@ -216,6 +214,13 @@ class TestTrain:
         assert log.diverged
         assert log.status.startswith("diverged@")
         assert len(log.rows) < costmodel.iterations(4, 256, 64)
+
+    def test_label_outside_classes_rejected(self):
+        ds = make_dataset(256, seed=6)
+        ds.train_y[5] = -1
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(ConfigError, match=r"labels span \[-1, 2\]"):
+            cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
 
     def test_mismatched_batch_rejected(self):
         ds = make_dataset(256, seed=5)

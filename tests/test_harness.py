@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import subprocess
@@ -166,6 +167,19 @@ class TestCli:
         path = tmp_path / "idx.cfg"
         config.write_config(cfg, path)
         assert cli.main(["train", str(path), "--output-root", str(tmp_path)]) == runner.EXIT_FORMAT
+
+    @pytest.mark.parametrize("dataset, message", [
+        (dict(num_classes=4), "labels span [0, 3] but the network has 3 classes"),
+        (dict(kind="synthetic-blobs", input_dim=3), "incompatible with input width 2"),
+    ], ids=["num_classes", "input_dim"])
+    def test_dataset_network_mismatch_exit_code(self, tmp_path, capsys, dataset, message):
+        cfg = spirals_cfg(tmp_path)
+        cfg.dataset = dataclasses.replace(cfg.dataset, **dataset)
+        path = tmp_path / "mismatch.cfg"
+        config.write_config(cfg, path)
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path)])
+        assert code == runner.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_tables_and_cost_commands(self, tmp_path, capsys):
         assert cli.main(["tables", "--out", str(tmp_path / "tables")]) == 0

@@ -8,7 +8,6 @@ from batchlab.errors import (
     ConfigError,
     DegenerateBatchError,
     NumericOverflowError,
-    StaleCacheError,
 )
 from conftest import SMALL_SPECS, gradient_errors, random_batch
 
@@ -65,13 +64,13 @@ class TestForwardLoss:
         net = nn.init_network([nn.dense(2, 5), nn.softmax_xent()], 0)
         net.params["dense0.weight"].param.fill(0.0)
         x, y = random_batch(0, n=8, classes=5)
-        loss, _ = nn.forward_loss(net, x, y)
+        loss = nn.loss_and_grad(net, x, y)
         assert loss == pytest.approx(math.log(5), rel=1e-12)
 
     def test_saturated_logits_give_near_zero_loss(self):
         net = nn.init_network([nn.dense(1, 2), nn.softmax_xent()], 0)
         net.params["dense0.weight"].param[:] = [[40.0, -40.0]]
-        loss, _ = nn.forward_loss(net, np.ones((4, 1)), np.zeros(4, dtype=int))
+        loss = nn.loss_and_grad(net, np.ones((4, 1)), np.zeros(4, dtype=int))
         assert loss < 1e-8
 
     def test_scalar_reference_oracle(self):
@@ -79,7 +78,7 @@ class TestForwardLoss:
         specs = [nn.dense(2, 3), nn.relu(), nn.dense(3, 2), nn.softmax_xent()]
         net = nn.init_network(specs, 7)
         x, y = random_batch(7, n=4, classes=2)
-        loss, _ = nn.forward_loss(net, x, y)
+        loss = nn.loss_and_grad(net, x, y)
 
         w0 = net.params["dense0.weight"].param
         b0 = net.params["dense0.bias"].param
@@ -96,13 +95,13 @@ class TestForwardLoss:
 
     def test_bad_batch_width_rejected(self, small_net):
         with pytest.raises(ConfigError, match="incompatible"):
-            nn.forward_loss(small_net, np.zeros((4, 3)), np.zeros(4, dtype=int))
+            nn.loss_and_grad(small_net, np.zeros((4, 3)), np.zeros(4, dtype=int))
 
     def test_nonfinite_forward_names_layer(self, small_net):
         small_net.params["dense3.weight"].param[0, 0] = np.inf
         x, y = random_batch(1)
         with pytest.raises(NumericOverflowError) as exc, np.errstate(invalid="ignore"):
-            nn.forward_loss(small_net, x, y)
+            nn.loss_and_grad(small_net, x, y)
         assert exc.value.layer_index == 3
 
 
@@ -116,30 +115,25 @@ class TestBackward:
 
     def test_zero_input_gives_zero_weight_gradient(self):
         net = nn.init_network([nn.dense(2, 3), nn.softmax_xent()], 1)
-        loss, cache = nn.forward_loss(net, np.zeros((4, 2)), np.zeros(4, dtype=int))
-        nn.backward(net, cache)
+        nn.loss_and_grad(net, np.zeros((4, 2)), np.zeros(4, dtype=int))
         assert np.all(net.params["dense0.weight"].grad == 0.0)
 
     def test_duplicated_batch_leaves_mean_gradient_unchanged(self, small_net):
         x, y = random_batch(3, n=8)
-        loss1, c1 = nn.forward_loss(small_net, x, y, update_running=False)
-        nn.backward(small_net, c1)
+        loss1 = nn.loss_and_grad(small_net, x, y, update_running=False)
         g1 = {g.name: g.grad.copy() for g in small_net.params}
         xx, yy = np.concatenate([x, x]), np.concatenate([y, y])
-        loss2, c2 = nn.forward_loss(small_net, xx, yy, update_running=False)
-        nn.backward(small_net, c2)
+        loss2 = nn.loss_and_grad(small_net, xx, yy, update_running=False)
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for g in small_net.params:
             assert g.grad == pytest.approx(g1[g.name], rel=1e-12, abs=1e-15)
 
     def test_permuted_batch_equal_within_tolerance(self, small_net):
         x, y = random_batch(4, n=8)
-        loss1, c1 = nn.forward_loss(small_net, x, y, update_running=False)
-        nn.backward(small_net, c1)
+        loss1 = nn.loss_and_grad(small_net, x, y, update_running=False)
         g1 = {g.name: g.grad.copy() for g in small_net.params}
         perm = np.random.default_rng(0).permutation(8)
-        loss2, c2 = nn.forward_loss(small_net, x[perm], y[perm], update_running=False)
-        nn.backward(small_net, c2)
+        loss2 = nn.loss_and_grad(small_net, x[perm], y[perm], update_running=False)
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for g in small_net.params:
             assert g.grad == pytest.approx(g1[g.name], rel=1e-12, abs=1e-15)
@@ -149,27 +143,11 @@ class TestBackward:
         outs = []
         for _ in range(2):
             net = nn.init_network(SMALL_SPECS, 9)
-            loss, cache = nn.forward_loss(net, x, y)
-            nn.backward(net, cache)
+            loss = nn.loss_and_grad(net, x, y)
             outs.append((loss, {g.name: g.grad.copy() for g in net.params}))
         assert outs[0][0] == outs[1][0]
         for name in outs[0][1]:
             assert np.array_equal(outs[0][1][name], outs[1][1][name])
-
-    def test_stale_cache_rejected(self, small_net):
-        x, y = random_batch(6)
-        _, cache = nn.forward_loss(small_net, x, y)
-        nn.backward(small_net, cache)
-        with pytest.raises(StaleCacheError):
-            nn.backward(small_net, cache)
-
-    def test_foreign_cache_rejected(self, small_net):
-        x, y = random_batch(6)
-        other = nn.init_network(SMALL_SPECS, 1)
-        _, cache = nn.forward_loss(other, x, y)
-        nn.forward_loss(small_net, x, y)
-        with pytest.raises(StaleCacheError):
-            nn.backward(small_net, cache)
 
 
 class TestBatchNorm:
@@ -205,12 +183,12 @@ class TestBatchNorm:
             + net.params["bn1.shift"].param
         assert np.allclose(out, net.params["bn1.shift"].param, atol=1e-12)
         # and the engine itself must not blow up on zero variance
-        loss, _ = nn.forward_loss(net, x, np.zeros(16, dtype=int))
+        loss = nn.loss_and_grad(net, x, np.zeros(16, dtype=int))
         assert math.isfinite(loss)
 
     def test_batch_of_one_rejected_in_training(self, small_net):
         with pytest.raises(DegenerateBatchError):
-            nn.forward_loss(small_net, np.zeros((1, 2)), np.zeros(1, dtype=int))
+            nn.loss_and_grad(small_net, np.zeros((1, 2)), np.zeros(1, dtype=int))
 
     def test_scale_and_shift_finite_difference(self):
         net = nn.init_network(SMALL_SPECS, 13)
@@ -223,6 +201,6 @@ class TestBatchNorm:
         net = nn.init_network(SMALL_SPECS, 1)
         x, y = random_batch(8, n=32)
         before = net.bn_state[1]["mean"].copy()
-        nn.forward_loss(net, x, y)
+        nn.loss_and_grad(net, x, y)
         after = net.bn_state[1]["mean"]
         assert not np.array_equal(before, after)

@@ -84,17 +84,6 @@ class TestSchedule:
         with pytest.raises(ScheduleExhaustedError):
             optim.scheduled_lr(hp, st_)
 
-    def test_max_iterations_floor(self):
-        assert optim.max_iterations(50, 9000, 32) == 14062
-        assert optim.max_iterations(1, 64, 64) == 1
-
-    def test_schedule_table_rows(self):
-        hp = make_hp(base_lr=0.4)
-        st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
-        rows = optim.schedule_table(hp, st_)
-        assert len(rows) == 10
-        assert rows[0] == (0, 0.4)
-
 
 class TestLars:
     def test_unit_norms(self):
