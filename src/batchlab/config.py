@@ -1,23 +1,29 @@
 """Experiment configuration: a flat INI-style key=value format.
 
 Sections: [network], [hyper], [cluster], [dataset], [output], and an
-optional [cost] for the analytical model.  Unknown sections and keys are
-rejected, so a misspelled option fails instead of silently taking its
-default.  parse_config(write_config(cfg)) returns an equal ExperimentConfig.
+optional [cost] for the analytical model, with every key listed once in
+SCHEMA.  Unknown sections and keys, and dataset keys the chosen kind never
+reads, are rejected, so a misspelled or ignored option fails loudly.
+parse_config(write_config(cfg)) returns an equal ExperimentConfig.
 """
 
 import configparser
-import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
-from . import nn
+from . import costmodel, nn
 from .errors import ConfigError
-from .optim import DEFAULT_LARS_SKIP, HyperParams
+from .optim import HyperParams
+
+# The [dataset] keys each dataset kind reads.
+_SYNTHETIC = frozenset({"kind", "n", "num_classes", "input_dim", "seed", "noise"})
+DATASET_KEYS = {"synthetic-blobs": _SYNTHETIC, "synthetic-spirals": _SYNTHETIC,
+                "idx-file": frozenset({"kind", "num_classes", "seed", "images", "labels"})}
 
 
 @dataclass
 class DatasetConfig:
-    kind: str  # synthetic-blobs | synthetic-spirals | idx-file
+    kind: str
     n: int = 0
     num_classes: int = 2
     input_dim: int = 2
@@ -26,11 +32,19 @@ class DatasetConfig:
     images: str = ""
     labels: str = ""
 
+    def __post_init__(self):
+        if self.kind not in DATASET_KEYS:
+            raise ConfigError(f"unknown dataset kind {self.kind!r}; have {sorted(DATASET_KEYS)}")
+
 
 @dataclass
 class CostConfig:
     network: str = "mellanox_fdr"
-    gamma: float = 0.9e-13
+    gamma: float = costmodel.P100_GAMMA
+
+    def __post_init__(self):
+        # raises ConfigError for an unknown preset or gamma <= 0
+        costmodel.cluster_preset(self.network, gamma=self.gamma)
 
 
 @dataclass
@@ -44,17 +58,35 @@ class ExperimentConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
 
-KNOWN_KEYS = {
-    "network": {"layers"},
-    "hyper": {
-        "base_lr", "epochs", "batch_size", "momentum", "weight_decay", "poly_power",
-        "warmup_epochs", "lars_enabled", "lars_trust", "lars_skip",
-    },
-    "cluster": {"workers", "seed"},
-    "dataset": {"kind", "n", "num_classes", "input_dim", "seed", "noise", "images", "labels"},
-    "output": {"dir"},
-    "cost": {"network", "gamma"},
-}
+# Every settable (section, key) in header order, with the ExperimentConfig
+# attribute it sets (dotted through the hyper/dataset/cost record).  The
+# field's type picks the parser and formatter; its default is the key's.
+SCHEMA = (
+    ("network", "layers", "layers"),
+    ("hyper", "base_lr", "hyper.base_lr"),
+    ("hyper", "momentum", "hyper.momentum"),
+    ("hyper", "weight_decay", "hyper.weight_decay"),
+    ("hyper", "poly_power", "hyper.poly_power"),
+    ("hyper", "warmup_epochs", "hyper.warmup_epochs"),
+    ("hyper", "epochs", "hyper.epochs"),
+    ("hyper", "batch_size", "hyper.batch_size"),
+    ("hyper", "lars_enabled", "hyper.lars_enabled"),
+    ("hyper", "lars_trust", "hyper.lars_trust"),
+    ("hyper", "lars_skip", "hyper.lars_skip_categories"),
+    ("cluster", "workers", "workers"),
+    ("cluster", "seed", "seed"),
+    ("dataset", "kind", "dataset.kind"),
+    ("dataset", "n", "dataset.n"),
+    ("dataset", "num_classes", "dataset.num_classes"),
+    ("dataset", "input_dim", "dataset.input_dim"),
+    ("dataset", "seed", "dataset.seed"),
+    ("dataset", "noise", "dataset.noise"),
+    ("dataset", "images", "dataset.images"),
+    ("dataset", "labels", "dataset.labels"),
+    ("output", "dir", "output_dir"),
+    ("cost", "network", "cost.network"),
+    ("cost", "gamma", "cost.gamma"),
+)
 
 
 def parse_layers(text):
@@ -94,156 +126,91 @@ def format_layers(specs):
 
 
 def _bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _parser():
-    return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=None)
+# field type -> (parse text, format value)
+_CODECS = {
+    float: (float, repr),
+    int: (int, str),
+    str: (str, str),
+    bool: (_bool, lambda v: "true" if v else "false"),
+    frozenset: (lambda t: frozenset(filter(None, map(str.strip, t.split(",")))),
+                lambda v: ",".join(sorted(v))),
+    list: (parse_layers, format_layers),
+}
+
+# ExperimentConfig attribute -> record class: hyper, dataset, cost
+_RECORDS = {f.name: f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)}
+
+
+def _resolve(path):
+    """(record attribute or None, dataclass field) for a SCHEMA path."""
+    record, _, name = path.rpartition(".")
+    owner = _RECORDS.get(record, ExperimentConfig)
+    return record or None, next(f for f in fields(owner) if f.name == name)
+
+
+_ROWS = tuple((sec, key, *_resolve(path)) for sec, key, path in SCHEMA)
+_SECTIONS = {sec for sec, _, _ in SCHEMA}
+_KEYS = {(sec, key) for sec, key, _ in SCHEMA}
 
 
 def parse_config(path):
-    cp = _parser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return _from_parser(cp, path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_string(text, path)
 
 
 def parse_config_string(text, origin="<string>"):
-    cp = _parser()
-    cp.read_string(text)
-    return _from_parser(cp, origin)
-
-
-def _check_known(cp, origin):
-    unknown = []
-    for sec in cp.sections():
-        if sec not in KNOWN_KEYS:
-            unknown.append(f"section [{sec}]")
-        else:
-            unknown += [f"key {sec}.{key}" for key in cp[sec] if key not in KNOWN_KEYS[sec]]
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=None)
+    cp.read_string(text, source=str(origin))
+    given = {(sec, key): value for sec in cp.sections() for key, value in cp.items(sec, raw=True)}
+    unknown = [f"section [{sec}]" for sec in cp.sections() if sec not in _SECTIONS]
+    unknown += [f"key {sec}.{key}" for sec, key in given if (sec, key) not in _KEYS]
     if unknown:
         raise ConfigError(f"{origin}: unknown {', '.join(unknown)}")
-
-
-def _from_parser(cp, origin):
-    _check_known(cp, origin)
+    values = {record: {} for record in (None, *_RECORDS)}
     try:
-        layers = parse_layers(cp["network"]["layers"])
-        h = cp["hyper"]
-        skip = h.get("lars_skip", None)
-        hyper = HyperParams(
-            base_lr=float(h["base_lr"]),
-            epochs=int(h["epochs"]),
-            batch_size=int(h["batch_size"]),
-            momentum=float(h.get("momentum", "0.9")),
-            weight_decay=float(h.get("weight_decay", "0.0005")),
-            poly_power=float(h.get("poly_power", "2.0")),
-            warmup_epochs=int(h.get("warmup_epochs", "0")),
-            lars_enabled=_bool(h.get("lars_enabled", "false")),
-            lars_trust=float(h.get("lars_trust", "0.001")),
-            lars_skip_categories=(
-                DEFAULT_LARS_SKIP if skip is None
-                else frozenset(x.strip() for x in skip.split(",") if x.strip())
-            ),
-        )
-        c = cp["cluster"]
-        d = cp["dataset"]
-        dataset = DatasetConfig(
-            kind=d["kind"].strip(),
-            n=int(d.get("n", "0")),
-            num_classes=int(d.get("num_classes", "2")),
-            input_dim=int(d.get("input_dim", "2")),
-            seed=int(d.get("seed", "0")),
-            noise=float(d["noise"]) if "noise" in d else None,
-            images=d.get("images", ""),
-            labels=d.get("labels", ""),
-        )
-        o = cp["output"]
-        cost = CostConfig()
-        if cp.has_section("cost"):
-            k = cp["cost"]
-            cost = CostConfig(
-                network=k.get("network", cost.network).strip(),
-                gamma=float(k.get("gamma", repr(cost.gamma))),
-            )
-        return ExperimentConfig(
-            layers=layers,
-            hyper=hyper,
-            workers=int(c["workers"]),
-            seed=int(c["seed"]),
-            dataset=dataset,
-            output_dir=o["dir"].strip(),
-            cost=cost,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{origin}: missing config key {exc}") from exc
+        for sec, key, record, f in _ROWS:
+            if (sec, key) in given:
+                values[record][f.name] = _CODECS[f.type][0](given[sec, key])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{origin}: missing config key {sec}.{key}")
+        records = {record: cls(**values[record]) for record, cls in _RECORDS.items()}
     except ValueError as exc:
         raise ConfigError(f"{origin}: bad config value: {exc}") from exc
+    kind = records["dataset"].kind
+    stray = [f"dataset.{key}" for key in values["dataset"] if key not in DATASET_KEYS[kind]]
+    if stray:
+        raise ConfigError(f"{origin}: dataset kind {kind} does not read {', '.join(stray)}")
+    return ExperimentConfig(**values[None], **records)
 
 
 def config_items(cfg):
-    """Flat (section, key, value) triples in canonical order."""
-    hp = cfg.hyper
-    ds = cfg.dataset
-    items = [
-        ("network", "layers", format_layers(cfg.layers)),
-        ("hyper", "base_lr", repr(hp.base_lr)),
-        ("hyper", "momentum", repr(hp.momentum)),
-        ("hyper", "weight_decay", repr(hp.weight_decay)),
-        ("hyper", "poly_power", repr(hp.poly_power)),
-        ("hyper", "warmup_epochs", str(hp.warmup_epochs)),
-        ("hyper", "epochs", str(hp.epochs)),
-        ("hyper", "batch_size", str(hp.batch_size)),
-        ("hyper", "lars_enabled", "true" if hp.lars_enabled else "false"),
-        ("hyper", "lars_trust", repr(hp.lars_trust)),
-        ("hyper", "lars_skip", ",".join(sorted(hp.lars_skip_categories))),
-        ("cluster", "workers", str(cfg.workers)),
-        ("cluster", "seed", str(cfg.seed)),
-        ("dataset", "kind", ds.kind),
-    ]
-    if ds.kind == "idx-file":
-        items += [
-            ("dataset", "num_classes", str(ds.num_classes)),
-            ("dataset", "seed", str(ds.seed)),
-            ("dataset", "images", ds.images),
-            ("dataset", "labels", ds.labels),
-        ]
-    else:
-        items += [
-            ("dataset", "n", str(ds.n)),
-            ("dataset", "num_classes", str(ds.num_classes)),
-            ("dataset", "input_dim", str(ds.input_dim)),
-            ("dataset", "seed", str(ds.seed)),
-        ]
-        if ds.noise is not None:
-            items.append(("dataset", "noise", repr(ds.noise)))
-    items += [
-        ("output", "dir", cfg.output_dir),
-        ("cost", "network", cfg.cost.network),
-        ("cost", "gamma", repr(cfg.cost.gamma)),
-    ]
+    """(section, key, value) triples in header order, but for None values and
+    dataset keys the dataset kind does not read."""
+    reads = DATASET_KEYS[cfg.dataset.kind]
+    items = []
+    for sec, key, record, f in _ROWS:
+        value = getattr(getattr(cfg, record) if record else cfg, f.name)
+        if value is not None and (sec != "dataset" or key in reads):
+            items.append((sec, key, _CODECS[f.type][1](value)))
     return items
 
 
 def write_config_string(cfg):
-    buf = io.StringIO()
-    section = None
+    lines = {}
     for sec, key, value in config_items(cfg):
-        if sec != section:
-            if section is not None:
-                buf.write("\n")
-            buf.write(f"[{sec}]\n")
-            section = sec
-        buf.write(f"{key} = {value}\n")
-    return buf.getvalue()
+        lines.setdefault(sec, []).append(f"{key} = {value}\n")
+    return "\n".join(f"[{sec}]\n" + "".join(body) for sec, body in lines.items())
 
 
 def write_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_config_string(cfg))
+    Path(path).write_text(write_config_string(cfg), encoding="utf-8")

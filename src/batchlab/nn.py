@@ -315,8 +315,9 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
 def check_batch(net, inputs, labels):
     """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
 
-    The inputs must be 2-D with `net.input_dim` columns and every label must
-    name one of the network's `num_classes` outputs.
+    The inputs must be 2-D with `net.input_dim` columns, there must be one
+    label per example, and every label must name one of the network's
+    `num_classes` outputs.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -324,6 +325,8 @@ def check_batch(net, inputs, labels):
         raise ConfigError(
             f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
         )
+    if labels.shape != (len(inputs),):
+        raise ConfigError(f"labels of shape {labels.shape} for {len(inputs)} examples")
     lo, hi = labels.min(initial=0), labels.max(initial=0)
     if lo < 0 or hi >= net.num_classes:
         raise ConfigError(

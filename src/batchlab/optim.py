@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ScheduleExhaustedError
-from .nn import BIAS, NORM_SCALE, NORM_SHIFT
+from .nn import BIAS, NORM_SCALE, NORM_SHIFT, WEIGHT
 
 DEFAULT_LARS_SKIP = frozenset({BIAS, NORM_SCALE, NORM_SHIFT})
 
@@ -50,6 +50,9 @@ class HyperParams:
             raise ConfigError("need 0 <= warmup_epochs < epochs")
         if self.lars_trust <= 0:
             raise ConfigError("lars_trust must be positive")
+        unknown = sorted(self.lars_skip_categories - {WEIGHT, BIAS, NORM_SCALE, NORM_SHIFT})
+        if unknown:
+            raise ConfigError(f"lars_skip names unknown parameter categories {unknown}")
         for v in (self.base_lr, self.momentum, self.weight_decay, self.poly_power, self.lars_trust):
             if not math.isfinite(v):
                 raise ConfigError("hyperparameters must be finite")

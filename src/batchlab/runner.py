@@ -41,16 +41,14 @@ def resolve_output_dir(cfg, output_root=None):
 
 
 def build_dataset(ds):
-    if ds.kind in ("synthetic-blobs", "synthetic-spirals"):
+    if ds.kind != "idx-file":
         return data.gen_synthetic(ds.kind, ds.n, ds.num_classes, ds.input_dim, ds.seed, ds.noise)
-    if ds.kind == "idx-file":
-        if not ds.images or not ds.labels:
-            raise ConfigError("idx-file dataset needs images= and labels= paths")
-        for p in (ds.images, ds.labels):
-            if not Path(p).exists():
-                raise ConfigError(f"dataset file does not exist: {p}")
-        return data.load_idx(ds.images, ds.labels, ds.num_classes, ds.seed)
-    raise ConfigError(f"unknown dataset kind {ds.kind!r}")
+    if not ds.images or not ds.labels:
+        raise ConfigError("idx-file dataset needs images= and labels= paths")
+    for p in (ds.images, ds.labels):
+        if not Path(p).exists():
+            raise ConfigError(f"dataset file does not exist: {p}")
+    return data.load_idx(ds.images, ds.labels, ds.num_classes, ds.seed)
 
 
 def network_profile(specs, name="experiment"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,14 @@ class TestTrain:
         ds.train_y[5] = -1
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=r"labels span \[-1, 2\]"):
+            cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+
+    @pytest.mark.parametrize("n_labels", [250, 260])
+    def test_label_count_must_match_examples(self, n_labels):
+        ds = make_dataset(256, seed=6)
+        ds.train_y = np.resize(ds.train_y, n_labels)
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(ConfigError, match=re.escape(f"labels of shape ({n_labels},) for 256")):
             cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
 
     def test_mismatched_batch_rejected(self):

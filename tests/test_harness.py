@@ -3,12 +3,63 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from batchlab import cli, config, data, nn, runner
+from batchlab import cli, config, costmodel, data, nn, optim, runner
 from batchlab.errors import ConfigError
 from conftest import MLP_SPECS
+
+REQUIRED_ONLY = """[network]
+layers = dense 2 8, relu, dense 8 3, softmax-xent
+[hyper]
+base_lr = 0.1
+epochs = 3
+batch_size = 16
+[cluster]
+workers = 2
+seed = 4
+[dataset]
+kind = {kind}
+[output]
+dir = minimal
+"""
+
+EVERY_KEY = """[network]
+layers = dense 3 8, batchnorm 0.001, relu, dense 8 4, softmax-xent
+
+[hyper]
+base_lr = 0.3
+momentum = 0.8
+weight_decay = 0.0001
+poly_power = 1.5
+warmup_epochs = 2
+epochs = 5
+batch_size = 64
+lars_enabled = true
+lars_trust = 0.002
+lars_skip = bias
+
+[cluster]
+workers = 4
+seed = 7
+
+[dataset]
+{dataset}
+[output]
+dir = every-key
+
+[cost]
+network = intel_qdr
+gamma = 2.5e-12
+"""
+
+# between them these set every dataset key
+EVERY_DATASET_KEY = {
+    "synthetic-blobs": "n = 900\nnum_classes = 4\ninput_dim = 3\nseed = 9\nnoise = 0.35\n",
+    "idx-file": "num_classes = 4\nseed = 9\nimages = img.idx\nlabels = lab.idx\n",
+}
 
 
 def spirals_cfg(tmp_path, name="run", batch_size=32, workers=1, epochs=2, base_lr=0.05,
@@ -63,6 +114,50 @@ class TestConfigFormat:
         text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
         assert edit[0] in text
         with pytest.raises(ConfigError, match=re.escape(name)):
+            config.parse_config_string(text.replace(*edit))
+
+    def test_every_key_round_trips_a_non_default_value(self):
+        seen = set()
+        for kind, keys in EVERY_DATASET_KEY.items():
+            text = EVERY_KEY.format(dataset=f"kind = {kind}\n{keys}")
+            cfg = config.parse_config_string(text)
+            assert config.write_config_string(cfg) == text
+            # every value differs from the one a config of required keys only gets
+            minimal = config.parse_config_string(REQUIRED_ONLY.format(kind=kind))
+            items = config.config_items(cfg)
+            assert set(items) & set(config.config_items(minimal)) == {("dataset", "kind", kind)}
+            seen |= {(sec, key) for sec, key, _ in items}
+        assert seen == {(sec, key) for sec, key, _ in config.SCHEMA}
+        assert len(seen) == 24
+
+    def test_required_keys_alone_take_the_dataclass_defaults(self):
+        cfg = config.parse_config_string(REQUIRED_ONLY.format(kind="synthetic-spirals"))
+        assert cfg.hyper == optim.HyperParams(base_lr=0.1, epochs=3, batch_size=16)
+        assert cfg.dataset == config.DatasetConfig(kind="synthetic-spirals")
+        assert cfg.cost == config.CostConfig()
+        assert cfg.cost.gamma == costmodel.P100_GAMMA
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = config.parse_config_string(example, "README.md")
+        assert config.write_config_string(cfg).startswith("[network]\nlayers = dense 2 64")
+
+    @pytest.mark.parametrize("edit, message", [
+        (("seed = 1\n", "seed = 1\nimages = /nonexistent\n"),
+         "kind synthetic-spirals does not read dataset.images"),
+        (("kind = synthetic-spirals\n", "kind = idx-file\n"),
+         "kind idx-file does not read dataset.n, dataset.input_dim"),
+        (("kind = synthetic-spirals", "kind = mnist"), "unknown dataset kind 'mnist'"),
+        (("network = mellanox_fdr", "network = mellanox_fbr"), "'mellanox_fbr'"),
+        (("gamma = 9e-14", "gamma = -1"), "gamma > 0"),
+        (("lars_skip = bias,norm-scale,norm-shift", "lars_skip = bias,norm-scale,norm-shfit"),
+         "['norm-shfit']"),
+    ], ids=["stray-images", "stray-n", "kind", "cost-network", "cost-gamma", "lars-skip"])
+    def test_ignored_or_invalid_value_is_config_error(self, tmp_path, edit, message):
+        text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
+        assert edit[0] in text
+        with pytest.raises(ConfigError, match=re.escape(message)):
             config.parse_config_string(text.replace(*edit))
 
 
@@ -180,6 +275,20 @@ class TestCli:
         code = cli.main(["train", str(path), "--output-root", str(tmp_path)])
         assert code == runner.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        ("network = mellanox_fdr", "network = mellanox_fbr"),
+        ("gamma = 9e-14", "gamma = -1"),
+        ("lars_skip = bias,norm-scale,norm-shift", "lars_skip = bias,norm-scale,norm-shfit"),
+        ("seed = 1\n", "seed = 1\nimages = /nonexistent\n"),
+    ], ids=["cost-network", "cost-gamma", "lars-skip", "stray-key"])
+    def test_rejected_config_writes_no_output(self, tmp_path, monkeypatch, edit):
+        monkeypatch.setattr(runner, "run_experiment", lambda *a: pytest.fail("config accepted"))
+        path = tmp_path / "bad.cfg"
+        path.write_text(config.write_config_string(spirals_cfg(tmp_path)).replace(*edit))
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
+        assert code == runner.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_tables_and_cost_commands(self, tmp_path, capsys):
         assert cli.main(["tables", "--out", str(tmp_path / "tables")]) == 0

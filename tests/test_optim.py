@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -209,3 +211,8 @@ class TestSgdStep:
             make_hp(momentum=1.0)
         with pytest.raises(ConfigError):
             make_hp(warmup_epochs=10)  # must stay below epochs
+
+    def test_lars_skip_names_only_parameter_categories(self):
+        make_hp(lars_skip_categories=frozenset({nn.WEIGHT, nn.BIAS, nn.NORM_SCALE, nn.NORM_SHIFT}))
+        with pytest.raises(ConfigError, match=re.escape("['norm-shfit']")):
+            make_hp(lars_skip_categories=frozenset({"bias", "norm-scale", "norm-shfit"}))
