@@ -23,7 +23,6 @@ from .errors import (
     DivergenceError,
     NumericOverflowError,
     PartitionError,
-    ProtocolError,
 )
 from .reduction import tree_reduce
 
@@ -120,7 +119,8 @@ def local_gradients(workers):
 
     Batch-norm statistics are exchanged over the global batch (sync-BN), so
     this performs the collective forward/backward for all workers at once.
-    Returns (loss_sum, correct_count, [grads per worker]).
+    Returns (loss_sum, correct_count, grads) with grads a (P, |W|) array whose
+    row j is worker j's gradient.
     """
     check_synchronized(workers)
     xs = [w.batch_x for w in workers]
@@ -128,20 +128,9 @@ def local_gradients(workers):
     return nn.forward_backward_shards(workers[0].net, xs, ys)
 
 
-def all_reduce(grad_sets):
-    """Elementwise sum over workers in the fixed pairwise-left tree order."""
-    ref = grad_sets[0]
-    for j, g in enumerate(grad_sets[1:], start=1):
-        if set(g) != set(ref):
-            raise ProtocolError(f"worker {j} gradient groups differ from worker 0")
-        for name in ref:
-            if g[name].shape != ref[name].shape:
-                raise ProtocolError(f"shape mismatch in group {name!r} on worker {j}")
-
-    def combine(a, b):
-        return {name: a[name] + b[name] for name in a}
-
-    return tree_reduce(list(grad_sets), combine)
+def all_reduce(grads):
+    """Sum the P gradient rows in the fixed pairwise-left tree order."""
+    return tree_reduce(list(grads))
 
 
 def global_step(run, workers, hp, st):
@@ -151,10 +140,9 @@ def global_step(run, workers, hp, st):
     scheduled learning rate the update applied.
     """
     loss_sum, correct, grads = local_gradients(workers)
-    summed = all_reduce(grads)
     b = sum(len(w.batch_x) for w in workers)
     params = workers[0].net.params
-    params.set_grads({name: arr / b for name, arr in summed.items()})
+    np.divide(all_reduce(grads), b, out=params.grad)
     lr, lambdas = optim.sgd_step(params, hp, st)
     return loss_sum / b, correct, lr, lambdas
 
@@ -200,8 +188,11 @@ def train(run, specs, dataset, hp, eval_test=True):
             t0 = time.perf_counter()
             try:
                 loss, correct, lr, lambdas = global_step(run, workers, hp, st)
-            except (NumericOverflowError, DivergenceError):
-                log.status = f"diverged@{st.iteration}"
+            except NumericOverflowError as exc:
+                log.status = f"diverged@{st.iteration} layer {exc.layer_index}"
+                return log
+            except DivergenceError as exc:
+                log.status = f"diverged@{st.iteration} group {exc.group}"
                 return log
             wall_ms = (time.perf_counter() - t0) * 1000.0
             lams = sorted(lambdas.values())

@@ -169,27 +169,35 @@ def parse_config(path):
 
 
 def parse_config_string(text, origin="<string>"):
+    """Parse config text; every error is a ConfigError that starts with `origin`."""
+    try:
+        return _parse(text, origin)
+    except (configparser.Error, ConfigError) as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
+
+
+def _parse(text, origin):
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=None)
     cp.read_string(text, source=str(origin))
     given = {(sec, key): value for sec in cp.sections() for key, value in cp.items(sec, raw=True)}
     unknown = [f"section [{sec}]" for sec in cp.sections() if sec not in _SECTIONS]
     unknown += [f"key {sec}.{key}" for sec, key in given if (sec, key) not in _KEYS]
     if unknown:
-        raise ConfigError(f"{origin}: unknown {', '.join(unknown)}")
+        raise ConfigError(f"unknown {', '.join(unknown)}")
     values = {record: {} for record in (None, *_RECORDS)}
     try:
         for sec, key, record, f in _ROWS:
             if (sec, key) in given:
                 values[record][f.name] = _CODECS[f.type][0](given[sec, key])
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{origin}: missing config key {sec}.{key}")
+                raise ConfigError(f"missing config key {sec}.{key}")
         records = {record: cls(**values[record]) for record, cls in _RECORDS.items()}
     except ValueError as exc:
-        raise ConfigError(f"{origin}: bad config value: {exc}") from exc
+        raise ConfigError(f"bad config value: {exc}") from exc
     kind = records["dataset"].kind
     stray = [f"dataset.{key}" for key in values["dataset"] if key not in DATASET_KEYS[kind]]
     if stray:
-        raise ConfigError(f"{origin}: dataset kind {kind} does not read {', '.join(stray)}")
+        raise ConfigError(f"dataset kind {kind} does not read {', '.join(stray)}")
     return ExperimentConfig(**values[None], **records)
 
 

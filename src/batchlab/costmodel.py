@@ -33,8 +33,10 @@ class ClusterSpec:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("need at least one worker")
-        if self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
-            raise ConfigError("need alpha, beta >= 0 and gamma > 0")
+        if self.alpha < 0 or self.beta < 0:
+            raise ConfigError("need alpha, beta >= 0")
+        if not self.gamma > 0:
+            raise ConfigError(f"need gamma > 0 seconds per flop, got {self.gamma!r}")
 
 
 @dataclass

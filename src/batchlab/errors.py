@@ -29,20 +29,17 @@ class ConsistencyError(BatchLabError):
     """A worker reads a parameter store other than the one all workers share."""
 
 
-class ProtocolError(BatchLabError):
-    """Shape mismatch between gradient sets in a collective."""
-
-
 class ScheduleExhaustedError(BatchLabError):
     """Learning-rate schedule queried past its final iteration."""
 
 
 class DivergenceError(BatchLabError):
-    """Parameters became non-finite during an update."""
+    """Parameters became non-finite during an update; `group` names the first."""
 
-    def __init__(self, iteration, message=None):
+    def __init__(self, iteration, group):
         self.iteration = iteration
-        super().__init__(message or f"non-finite update at iteration {iteration}")
+        self.group = group
+        super().__init__(f"group {group} non-finite at iteration {iteration}")
 
 
 class FormatError(BatchLabError):

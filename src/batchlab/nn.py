@@ -60,44 +60,55 @@ def softmax_xent():
     return LayerSpec(SOFTMAX_XENT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamGroup:
+    """One named group: its span of the flat vectors and shaped views of it."""
+
     name: str
+    category: str
+    span: slice
     param: np.ndarray
     grad: np.ndarray
     momentum_buf: np.ndarray
-    category: str
 
 
 class ParamSet:
-    """Ordered, named parameter groups with grad and momentum buffers."""
+    """Named parameter groups over three flat float64 vectors.
+
+    `param`, `grad` and `momentum` each hold every group back to back, in
+    construction order; a group's `.param`, `.grad` and `.momentum_buf` are
+    shaped views of its span, so writes through either side are shared.
+    """
 
     def __init__(self, groups):
-        self.groups = list(groups)
-        names = [g.name for g in self.groups]
+        """`groups` are (name, category, initial array) triples."""
+        groups = list(groups)
+        names = [name for name, _, _ in groups]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter group names: {names}")
+        self.param = np.concatenate([a.reshape(-1) for _, _, a in groups])
+        self.grad = np.zeros_like(self.param)
+        self.momentum = np.zeros_like(self.param)
+        self.groups = []
+        start = 0
+        for name, category, a in groups:
+            span = slice(start, start + a.size)
+            start = span.stop
+            views = (v[span].reshape(a.shape) for v in (self.param, self.grad, self.momentum))
+            self.groups.append(ParamGroup(name, category, span, *views))
         self._by_name = {g.name: g for g in self.groups}
 
     def __iter__(self):
         return iter(self.groups)
 
-    def __len__(self):
-        return len(self.groups)
-
     def __getitem__(self, name):
         return self._by_name[name]
-
-    def set_grads(self, grads):
-        """Copy a name -> array mapping into the grad buffers."""
-        for g in self.groups:
-            np.copyto(g.grad, grads[g.name])
 
     def checksum(self):
         h = hashlib.sha256()
         for g in self.groups:
             h.update(g.name.encode())
-            h.update(np.ascontiguousarray(g.param).tobytes())
+        h.update(self.param.tobytes())
         return h.hexdigest()
 
 
@@ -168,19 +179,12 @@ def init_network(specs, seed):
         if s.kind == DENSE:
             lim = np.sqrt(6.0 / (s.in_dim + s.out_dim))
             w = rng.uniform(-lim, lim, size=(s.in_dim, s.out_dim))
-            b = np.zeros(s.out_dim)
-            groups.append(ParamGroup(f"dense{i}.weight", w, np.zeros_like(w), np.zeros_like(w), WEIGHT))
-            groups.append(ParamGroup(f"dense{i}.bias", b, np.zeros_like(b), np.zeros_like(b), BIAS))
+            groups.append((f"dense{i}.weight", WEIGHT, w))
+            groups.append((f"dense{i}.bias", BIAS, np.zeros(s.out_dim)))
         elif s.kind == BATCHNORM:
             d = widths[i]
-            scale = np.ones(d)
-            shift = np.zeros(d)
-            groups.append(
-                ParamGroup(f"bn{i}.scale", scale, np.zeros_like(scale), np.zeros_like(scale), NORM_SCALE)
-            )
-            groups.append(
-                ParamGroup(f"bn{i}.shift", shift, np.zeros_like(shift), np.zeros_like(shift), NORM_SHIFT)
-            )
+            groups.append((f"bn{i}.scale", NORM_SCALE, np.ones(d)))
+            groups.append((f"bn{i}.shift", NORM_SHIFT, np.zeros(d)))
             bn_state[i] = {"mean": np.zeros(d), "var": np.ones(d)}
     num_classes = widths[-1]
     return Network(specs, ParamSet(groups), bn_state, specs[0].in_dim, num_classes)
@@ -217,9 +221,10 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     terms are reduced over the global batch this way (sync-BN), and the
     running statistics are updated once per layer.
 
-    Returns (loss_sum, correct_count, shard_grads) where loss_sum is the
-    tree-sum of per-example losses, correct_count the number of argmax hits,
-    and shard_grads a per-shard dict of sum-convention parameter gradients.
+    Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
+    of per-example losses, correct_count the number of argmax hits, and grads
+    a (shards, |W|) array whose row j is shard j's sum-convention gradient,
+    laid out like `net.params.grad`.
     """
     sizes = [len(x) for x in shard_x]
     if len(set(sizes)) > 1:
@@ -281,31 +286,30 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     loss_sum = float(tree_reduce(list(shard_sums(losses))))
     correct = int(np.count_nonzero(p.argmax(axis=1) == labels))
 
-    # backward, sum convention; each gradient is indexed by shard
-    grads = {}
+    # backward, sum convention; row j of grads is shard j's gradient
+    grads = np.empty((nshards, params.param.size))
     d = p
     d[idx, labels] -= 1.0  # softmax minus one-hot
     for i in range(len(specs) - 2, -1, -1):
         s = specs[i]
         rec = records[i]
         if s.kind == DENSE:
-            w = params[f"dense{i}.weight"].param
-            gw, dx = [], []
-            for x, dj in zip(shards(rec), shards(d)):
-                gw.append(tree_sum(np.einsum("bi,bj->bij", x, dj)))
-                dx.append(_dense_backward_input(dj, w))
-            grads[f"dense{i}.weight"] = gw
-            grads[f"dense{i}.bias"] = shard_sums(d)
+            w = params[f"dense{i}.weight"]
+            dx = []
+            for j, (x, dj) in enumerate(zip(shards(rec), shards(d))):
+                grads[j, w.span] = tree_sum(np.einsum("bi,bj->bij", x, dj)).reshape(-1)
+                dx.append(_dense_backward_input(dj, w.param))
+            grads[:, params[f"dense{i}.bias"].span] = shard_sums(d)
             d = np.concatenate(dx)
         elif s.kind == RELU:
             d = d * rec
         elif s.kind == BATCHNORM:
             xhat, inv = rec
-            grads[f"bn{i}.shift"] = t1 = shard_sums(d)
-            grads[f"bn{i}.scale"] = t2 = shard_sums(d * xhat)
+            grads[:, params[f"bn{i}.shift"].span] = t1 = shard_sums(d)
+            grads[:, params[f"bn{i}.scale"].span] = t2 = shard_sums(d * xhat)
             big_t1, big_t2 = tree_reduce(list(t1)), tree_reduce(list(t2))
             d = params[f"bn{i}.scale"].param * inv * (d - big_t1 / n - xhat * (big_t2 / n))
-    return loss_sum, correct, [{k: g[j] for k, g in grads.items()} for j in range(nshards)]
+    return loss_sum, correct, grads
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +342,11 @@ def check_batch(net, inputs, labels):
 def loss_and_grad(net, inputs, labels, update_running=True):
     """Mean softmax cross-entropy over the batch; fills the grad buffers with its gradient."""
     inputs, labels = check_batch(net, inputs, labels)
-    loss_sum, _, shard_grads = forward_backward_shards(
+    loss_sum, _, grads = forward_backward_shards(
         net, [inputs], [labels], update_running=update_running
     )
     n = len(inputs)
-    net.params.set_grads({name: g / n for name, g in shard_grads[0].items()})
+    np.divide(grads[0], n, out=net.params.grad)
     return loss_sum / n
 
 

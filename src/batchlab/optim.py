@@ -123,17 +123,18 @@ def apply_update(params, hp, lr, iteration=0):
     g <- grad + weight_decay * param
     v <- momentum * v + lambda * lr * g
     param <- param - v
+
+    Lambdas come per group from its views; the step itself runs once over
+    the flat vectors, with each group's lambda * lr repeated over its span.
     """
-    lambdas = {}
-    for g in params:
-        lam = group_local_lr(g, hp)
-        lambdas[g.name] = lam
-        step_g = g.grad + hp.weight_decay * g.param
-        g.momentum_buf *= hp.momentum
-        g.momentum_buf += (lam * lr) * step_g
-        g.param -= g.momentum_buf
-        if not np.all(np.isfinite(g.param)):
-            raise DivergenceError(iteration, f"group {g.name} non-finite at iteration {iteration}")
+    lambdas = {g.name: group_local_lr(g, hp) for g in params}
+    rate = np.repeat([lam * lr for lam in lambdas.values()], [g.param.size for g in params])
+    params.momentum *= hp.momentum
+    params.momentum += rate * (params.grad + hp.weight_decay * params.param)
+    params.param -= params.momentum
+    if not np.all(np.isfinite(params.param)):
+        group = next(g.name for g in params if not np.all(np.isfinite(g.param)))
+        raise DivergenceError(iteration, group)
     return lambdas
 
 

@@ -54,7 +54,7 @@ def build_dataset(ds):
 def network_profile(specs, name="experiment"):
     """Analytical profile of the configured network (dense-dominated)."""
     # |W| is counted on the ParamSet the network really builds
-    params = sum(g.param.size for g in nn.init_network(specs, 0).params)
+    params = nn.init_network(specs, 0).params.param.size
     flops = 0.0
     width = specs[0].in_dim
     for s in specs:

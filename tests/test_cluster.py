@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batchlab import cluster, costmodel, data, nn, optim
-from batchlab.errors import ConfigError, ConsistencyError, PartitionError, ProtocolError
+from batchlab.errors import ConfigError, ConsistencyError, PartitionError
 from conftest import SMALL_SPECS, random_batch
 
 NOBN_SPECS = [nn.dense(2, 4), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
@@ -58,9 +58,9 @@ class TestLocalGradients:
 
         ref = nn.init_network(SMALL_SPECS, 7)
         nn.loss_and_grad(ref, x, y)
-        for g in ref.params:
-            # exact because B = 8 is a power of two
-            assert np.array_equal(grads[0][g.name], 8 * g.grad)
+        assert grads.shape == (1, ref.params.grad.size)
+        # exact because B = 8 is a power of two
+        assert np.array_equal(grads[0], 8 * ref.params.grad)
 
     def test_all_duplicates_slice_scales_single_example(self):
         x1, y1 = random_batch(1, n=1)
@@ -70,8 +70,7 @@ class TestLocalGradients:
         _, _, grads = cluster.local_gradients(workers)
         single = ready_workers(NOBN_SPECS, 3, x1, y1, 1)
         _, _, g1 = cluster.local_gradients(single)
-        for name in grads[0]:
-            assert np.array_equal(grads[0][name], 4 * g1[0][name])
+        assert np.array_equal(grads[0], 4 * g1[0])
 
     def test_identical_slices_give_bitwise_identical_gradients(self):
         x1, y1 = random_batch(2, n=4)
@@ -79,8 +78,7 @@ class TestLocalGradients:
         y = np.concatenate([y1, y1])
         workers = ready_workers(SMALL_SPECS, 5, x, y, 2)
         _, _, grads = cluster.local_gradients(workers)
-        for name in grads[0]:
-            assert np.array_equal(grads[0][name], grads[1][name])
+        assert np.array_equal(grads[0], grads[1])
 
     @pytest.mark.parametrize("B, P", [(24, 2), (48, 3), (12, 4)])
     def test_each_worker_gradient_is_its_own_slice(self, B, P):
@@ -89,12 +87,10 @@ class TestLocalGradients:
         x, y = random_batch(10, n=B)
         workers = ready_workers(NOBN_SPECS, 6, x, y, P)
         _, _, grads = cluster.local_gradients(workers)
-        assert len(grads) == P
+        assert grads.shape == (P, workers[0].net.params.grad.size)
         for w, g in zip(workers, grads):
             _, _, (alone,) = nn.forward_backward_shards(w.net, [w.batch_x], [w.batch_y])
-            assert set(g) == set(alone)
-            for name in g:
-                assert g[name].tobytes() == alone[name].tobytes()
+            assert g.tobytes() == alone.tobytes()
 
     def test_unequal_shards_rejected(self):
         x, y = random_batch(11, n=8)
@@ -113,18 +109,13 @@ class TestLocalGradients:
 
 class TestAllReduce:
     def test_identical_summands(self):
-        g = {"w": np.full((2, 2), 0.5)}
-        out = cluster.all_reduce([dict(g) for _ in range(4)])
-        assert np.array_equal(out["w"], np.full((2, 2), 2.0))
+        out = cluster.all_reduce(np.full((4, 6), 0.5))
+        assert np.array_equal(out, np.full(6, 2.0))
 
     def test_cancellation_is_exact(self):
-        g = np.random.default_rng(0).standard_normal((3, 3))
-        out = cluster.all_reduce([{"w": g}, {"w": -g}])
-        assert np.all(out["w"] == 0.0)
-
-    def test_shape_mismatch_names_group(self):
-        with pytest.raises(ProtocolError, match="w"):
-            cluster.all_reduce([{"w": np.zeros(2)}, {"w": np.zeros(3)}])
+        g = np.random.default_rng(0).standard_normal(9)
+        out = cluster.all_reduce(np.stack([g, -g]))
+        assert np.all(out == 0.0)
 
     def test_worker_partials_reduce_to_single_pass_sum(self):
         x, y = random_batch(4, n=16)
@@ -134,8 +125,7 @@ class TestAllReduce:
 
         single = ready_workers(SMALL_SPECS, 9, x, y, 1)
         _, _, full = cluster.local_gradients(single)
-        for name in reduced:
-            assert np.array_equal(reduced[name], full[0][name])
+        assert np.array_equal(reduced, full[0])
 
 
 class TestGlobalStep:
@@ -216,6 +206,20 @@ class TestTrain:
         assert log.diverged
         assert log.status.startswith("diverged@")
         assert len(log.rows) < costmodel.iterations(4, 256, 64)
+        # the forward pass overflowed: the status names the layer
+        assert re.fullmatch(r"diverged@\d+ layer \d+", log.status), log.status
+
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_update_divergence_names_group(self, P):
+        # inputs of scale 10 give dense0.weight gradients past 1, so lr = 1e308
+        # overflows the first update before any forward pass does
+        ds = make_dataset(256, seed=4)
+        ds.train_x *= 10.0
+        hp = optim.HyperParams(base_lr=1e308, epochs=4, batch_size=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = cluster.train(cluster.ClusterRun(P, 64, seed=0), NOBN_SPECS, ds, hp)
+        assert log.status == "diverged@0 group dense0.weight"
+        assert log.rows == []
 
     def test_label_outside_classes_rejected(self):
         ds = make_dataset(256, seed=6)

@@ -160,6 +160,25 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config.parse_config_string(text.replace(*edit))
 
+    @pytest.mark.parametrize("edit, message", [
+        (("epochs = 2", "epochs = 0"), "epochs and batch_size must be positive"),
+        (("dense 8 3", "dense 8"), "bad layer entry 'dense 8'"),
+        (("kind = synthetic-spirals", "kind = mnist"), "unknown dataset kind 'mnist'"),
+        (("gamma = 9e-14", "gamma = -1"), "need gamma > 0 seconds per flop, got -1.0"),
+        (("lars_skip = bias,norm-scale,norm-shift", "lars_skip = norm-shfit"), "['norm-shfit']"),
+        (("[cluster]\nworkers = 1\nseed = 3", "[cluster]\nworkers = 1\nseed = x"),
+         "bad config value"),
+    ], ids=["hyper", "layers", "dataset", "cost-gamma", "lars-skip", "value"])
+    def test_error_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "bad.cfg"
+        text = config.write_config_string(spirals_cfg(tmp_path, lars=True))
+        assert edit[0] in text
+        path.write_text(text.replace(*edit))
+        with pytest.raises(ConfigError) as exc:
+            config.parse_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
 
 class TestRunExperiment:
     def test_outputs_and_accounting(self, tmp_path):
@@ -250,6 +269,20 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("[network]\nlayers = dense 2 2, softmax-xent\n")
         assert cli.main(["train", str(path)]) == runner.EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit, error", [
+        ("[network]\nlayers = dense 2 2, softmax-xent\n", "option 'layers' in section 'network' already exists"),
+        ("layers = dense 2 2, softmax-xent\n[network]\n", "File contains no section headers"),
+    ], ids=["duplicate-key", "key-before-section"])
+    def test_config_syntax_error_exit_code(self, tmp_path, capsys, edit, error):
+        path = tmp_path / "bad.cfg"
+        text = config.write_config_string(spirals_cfg(tmp_path))
+        path.write_text(text.replace("[network]\n", edit, 1))
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
+        assert code == runner.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and error in err
 
     def test_format_error_exit_code(self, tmp_path):
         img = tmp_path / "img.idx"

@@ -42,6 +42,34 @@ class TestInit:
             assert np.all(g.grad == 0.0)
             assert np.all(g.momentum_buf == 0.0)
 
+    def test_groups_are_views_of_the_flat_vectors(self):
+        net = nn.init_network(SMALL_SPECS, 3)
+        params = net.params
+        names = ["dense0.weight", "dense0.bias", "bn1.scale", "bn1.shift",
+                 "dense3.weight", "dense3.bias"]
+        assert [g.name for g in params] == names
+        # the spans tile [0, |W|) in init_network order
+        start = 0
+        for g in params:
+            assert g.span == slice(start, start + g.param.size)
+            start = g.span.stop
+        assert start == params.param.size == params.grad.size == params.momentum.size
+        for g in params:
+            for view, flat in ((g.param, params.param), (g.grad, params.grad),
+                               (g.momentum_buf, params.momentum)):
+                assert np.shares_memory(view, flat)
+                assert np.array_equal(view.reshape(-1), flat[g.span])
+        # a write through either side is seen by the other
+        params["bn1.scale"].param[1] = 5.0
+        assert params.param[params["bn1.scale"].span.start + 1] == 5.0
+        params.grad[:] = 0.25
+        assert np.all(params["dense3.weight"].grad == 0.25)
+
+    def test_group_arrays_cannot_be_rebound(self):
+        net = nn.init_network(SMALL_SPECS, 3)
+        with pytest.raises(AttributeError):
+            net.params["dense0.weight"].param = np.zeros((2, 4))
+
     def test_incompatible_dims_names_layers(self):
         specs = [nn.dense(2, 4), nn.dense(5, 3), nn.softmax_xent()]
         with pytest.raises(ConfigError, match="0->1"):

@@ -204,6 +204,39 @@ class TestSgdStep:
             optim.apply_update(net.params, hp, lr=1.0, iteration=42)
         assert exc.value.iteration == 42
 
+    def test_nonfinite_update_names_first_bad_group(self):
+        net = nn.init_network(SMALL_SPECS, 3)
+        net.params["bn1.shift"].grad[0] = np.nan
+        net.params["dense3.weight"].grad[0, 0] = np.inf
+        with pytest.raises(DivergenceError, match="group bn1.shift") as exc:
+            optim.apply_update(net.params, make_hp(), lr=0.1, iteration=7)
+        assert exc.value.group == "bn1.shift"
+        assert exc.value.iteration == 7
+
+    @pytest.mark.parametrize("lars", [False, True])
+    def test_flat_update_equals_per_group_loop(self, lars):
+        hp = make_hp(momentum=0.9, weight_decay=0.003, lars_enabled=lars, lars_trust=0.02)
+        rng = np.random.default_rng(4)
+        flat, ref = nn.init_network(SMALL_SPECS, 2), nn.init_network(SMALL_SPECS, 2)
+        for step in range(3):
+            for net in (flat, ref):
+                net.params.grad[:] = np.random.default_rng(step).standard_normal(net.params.grad.size)
+            lr = float(rng.uniform(0.05, 0.5))
+            lambdas = optim.apply_update(flat.params, hp, lr)
+            # the plain per-group update the flat one replaces
+            expected = {}
+            for g in ref.params:
+                lam = optim.group_local_lr(g, hp)
+                expected[g.name] = lam
+                step_g = g.grad + hp.weight_decay * g.param
+                g.momentum_buf[...] *= hp.momentum
+                g.momentum_buf[...] += (lam * lr) * step_g
+                g.param[...] -= g.momentum_buf
+            assert lambdas == expected
+            assert flat.params.param.tobytes() == ref.params.param.tobytes()
+            assert flat.params.momentum.tobytes() == ref.params.momentum.tobytes()
+        assert lars == any(lam != 1.0 for lam in lambdas.values())
+
     def test_hyperparam_validation(self):
         with pytest.raises(ConfigError):
             make_hp(base_lr=-1.0)
