@@ -7,8 +7,9 @@ and one store stands for all of them; the simulator updates it once per step.
 Local gradients are per-example tree sums over each slice, reduced across
 workers with the same pairwise tree; the summed gradient is divided by the
 global batch size once.  When the local batch size is a power of two the
-per-worker trees compose into the tree a single worker would use, so the
-P-worker trajectory is bitwise-identical to the 1-worker one.
+per-worker trees compose into the tree a single worker would use; when
+`nn.leaf_block(B)` also divides it, the dense GEMM blocks are the 1-worker
+ones, so the P-worker trajectory is bitwise-identical to the 1-worker one.
 """
 
 import time
@@ -43,9 +44,15 @@ class ClusterRun:
 
     @property
     def bitwise_invariant(self):
-        """P == 1 or B/P a power of two: the split then gives the 1-worker bits."""
+        """P == 1, or B/P a power of two that `nn.leaf_block(B)` divides.
+
+        The split then runs the 1-worker GEMM blocks and trees, so it gives the
+        1-worker bits.
+        """
         local = self.global_batch // self.workers
-        return self.workers == 1 or (local & (local - 1)) == 0
+        return self.workers == 1 or (
+            (local & (local - 1)) == 0 and local % nn.leaf_block(self.global_batch) == 0
+        )
 
 
 @dataclass

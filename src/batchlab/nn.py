@@ -2,14 +2,17 @@
 
 Layers: dense, batchnorm, relu, and a terminal softmax cross-entropy loss.
 Everything is float64.  One array carries the whole batch through the
-layers; a P-worker split only orders the batch sums: a pairwise tree (from
+layers.  Dense products are BLAS GEMMs over fixed blocks of
+:func:`leaf_block` rows, a shape set by the global batch size alone.  A
+P-worker split only orders the batch sums: a pairwise tree (from
 :mod:`batchlab.reduction`) within each worker's slice, then the same tree
-over the P partials.  For power-of-two slices that is the single-worker tree,
-so both runs perform bit-identical arithmetic (batch-norm statistics are
-computed over the *global* batch, sync-BN style).
+over the P partials.  For power-of-two slices that the block size divides,
+that is the single-worker tree, so both runs perform bit-identical arithmetic
+(batch-norm statistics are computed over the *global* batch, sync-BN style).
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,27 +202,28 @@ def _check_finite(arr, layer_index):
         raise NumericOverflowError(layer_index)
 
 
-def _dense_forward(x, w, b):
-    # Explicit broadcast-multiply + per-row reduction instead of BLAS matmul:
-    # each example's result is then bit-identical regardless of batch size.
-    return (x[:, :, None] * w[None, :, :]).sum(axis=1) + b
+def leaf_block(batch):
+    """Rows per dense GEMM block for a global batch of `batch`: max(1, lowbit(B) // 32).
 
-
-def _dense_backward_input(d, w):
-    return (d[:, None, :] * w[None, :, :]).sum(axis=2)
+    It depends on B alone, so every split of B whose slices it divides runs
+    the same fixed-shape products; B / leaf_block(B) is at most 32 blocks.
+    """
+    return max(1, (batch & -batch) // 32)
 
 
 def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     """Run one synchronous forward+backward of `net` over equal batch shards.
 
-    The shards are concatenated and every layer runs once over the batch;
-    dense kernels go one shard at a time to bound their (shard x in x out)
-    temporaries.  Every batch sum is a canonical tree within each shard, and
-    the per-shard partials combine with the same tree; for power-of-two shard
-    sizes this is the tree of the whole batch, so results are independent of
-    the shard layout.  Batch-norm statistics and their backward coupling
-    terms are reduced over the global batch this way (sync-BN), and the
-    running statistics are updated once per layer.
+    The shards are concatenated and every layer runs once over the batch.
+    Every dense product is one BLAS GEMM per block of c = gcd(leaf_block(B),
+    B/P) consecutive rows, and the weight gradient's block partials
+    x_blk.T @ d_blk are a batch sum like any other.  Every batch sum is a
+    canonical tree within each shard, and the per-shard partials combine with
+    the same tree; for power-of-two shard sizes that leaf_block(B) divides,
+    the blocks and trees are those of the whole batch, so results are
+    independent of the shard layout.  Batch-norm statistics and their
+    backward coupling terms are reduced over the global batch this way
+    (sync-BN), and the running statistics are updated once per layer.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -233,23 +237,23 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     params = net.params
     nshards, m = len(sizes), sizes[0]
     n = nshards * m
+    c = math.gcd(leaf_block(n), m)
     a = np.asarray(np.concatenate(shard_x), dtype=np.float64)
     labels = np.asarray(np.concatenate(shard_y), dtype=np.int64)
 
-    def shards(v):
-        return v.reshape(nshards, m, *v.shape[1:])
+    def blocks(v):
+        return v.reshape(n // c, c, *v.shape[1:])
 
     def shard_sums(v):
-        # one tree_sum over the (m, P, ...) view builds all P per-shard trees
-        return tree_sum(shards(v).swapaxes(0, 1))
+        # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard trees
+        return tree_sum(v.reshape(nshards, -1, *v.shape[1:]).swapaxes(0, 1))
 
     records = []
     for i, s in enumerate(specs):
         if s.kind == DENSE:
-            w = params[f"dense{i}.weight"].param
-            b = params[f"dense{i}.bias"].param
             records.append(a)
-            a = np.concatenate([_dense_forward(x, w, b) for x in shards(a)])
+            a = (blocks(a) @ params[f"dense{i}.weight"].param).reshape(n, -1)
+            a += params[f"dense{i}.bias"].param
             _check_finite(a, i)
         elif s.kind == RELU:
             mask = a > 0
@@ -295,12 +299,10 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
         rec = records[i]
         if s.kind == DENSE:
             w = params[f"dense{i}.weight"]
-            dx = []
-            for j, (x, dj) in enumerate(zip(shards(rec), shards(d))):
-                grads[j, w.span] = tree_sum(np.einsum("bi,bj->bij", x, dj)).reshape(-1)
-                dx.append(_dense_backward_input(dj, w.param))
+            partials = blocks(rec).swapaxes(1, 2) @ blocks(d)
+            grads[:, w.span] = shard_sums(partials).reshape(nshards, -1)
             grads[:, params[f"dense{i}.bias"].span] = shard_sums(d)
-            d = np.concatenate(dx)
+            d = (blocks(d) @ w.param.T).reshape(n, -1)
         elif s.kind == RELU:
             d = d * rec
         elif s.kind == BATCHNORM:

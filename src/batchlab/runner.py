@@ -120,7 +120,8 @@ def run_experiment(cfg, output_root=None):
 
     out_dir = resolve_output_dir(cfg, output_root)
     meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train),
-                              ("run.bitwise_invariant", str(run.bitwise_invariant).lower())])
+                              ("run.bitwise_invariant", str(run.bitwise_invariant).lower()),
+                              ("run.leaf_block", nn.leaf_block(run.global_batch))])
 
     log_columns = _columns(cluster.LogRow)
     _write_csv(

@@ -1,11 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from batchlab import cluster, costmodel, data, nn, optim
 from batchlab.errors import ConfigError, ConsistencyError, PartitionError
-from conftest import SMALL_SPECS, random_batch
+from conftest import MLP_SPECS, SMALL_SPECS, random_batch
 
 NOBN_SPECS = [nn.dense(2, 4), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
 
@@ -172,6 +175,79 @@ class TestGlobalStep:
             losses[P] = [r.loss for r in log.rows]
         assert len(losses[1]) == 104  # floor(13 * 512 / 64)
         assert losses[1][:100] == losses[4][:100]
+
+
+def lars_checksums(B, P, x, y, steps=6, seed=3):
+    """Parameter checksum after each of `steps` LARS steps over consecutive B-row batches."""
+    hp = optim.HyperParams(base_lr=0.4, epochs=1, batch_size=B, lars_enabled=True)
+    st_ = optim.ScheduleState(max_iterations=steps, iterations_per_epoch=steps)
+    run = cluster.ClusterRun(P, B, seed=seed)
+    workers = cluster.make_workers(nn.init_network(MLP_SPECS, seed), P)
+    sums = []
+    for k in range(steps):
+        cluster.assign_batch(workers, x[k * B:(k + 1) * B], y[k * B:(k + 1) * B])
+        cluster.global_step(run, workers, hp, st_)
+        sums.append(workers[0].net.checksum())
+    return sums
+
+
+# Trains 40 steps of the spirals MLP at (B, P) from argv and prints the checksum.
+BLAS_CHILD = """
+import sys
+from batchlab import cluster, config, data, nn, optim
+B, P = int(sys.argv[1]), int(sys.argv[2])
+ds = data.gen_synthetic("synthetic-spirals", 10000, 3, 2, seed=1)
+specs = config.parse_layers(
+    "dense 2 64, batchnorm, relu, dense 64 64, batchnorm, relu, dense 64 3, softmax-xent")
+hp = optim.HyperParams(base_lr=0.05 * B / 32, epochs=3, batch_size=B, lars_enabled=True)
+st = optim.ScheduleState(max_iterations=40, iterations_per_epoch=len(ds.train_x) // B)
+run = cluster.ClusterRun(P, B, seed=5)
+workers = cluster.make_workers(nn.init_network(specs, 5), P)
+for k in range(40):
+    rows = slice(k * B % 8192, k * B % 8192 + B)
+    cluster.assign_batch(workers, ds.train_x[rows], ds.train_y[rows])
+    cluster.global_step(run, workers, hp, st)
+print(workers[0].net.checksum())
+"""
+
+
+class TestLeafBlocks:
+    @pytest.mark.parametrize("B, expected", [
+        (1, 1), (24, 1), (32, 1), (48, 1), (64, 2), (256, 8), (512, 16), (1024, 32), (4096, 128),
+    ])
+    def test_rule(self, B, expected):
+        assert nn.leaf_block(B) == expected
+
+    @pytest.mark.parametrize("B, P, exact", [
+        (512, 32, True), (256, 16, True), (1024, 32, True), (48, 3, True), (32, 32, True),
+        (512, 64, False), (24, 2, False),
+    ])
+    def test_flag_names_the_exact_splits(self, spirals, B, P, exact):
+        assert cluster.ClusterRun(P, B).bitwise_invariant is exact
+        if exact:
+            x, y = spirals.train_x, spirals.train_y
+            assert lars_checksums(B, P, x, y) == lars_checksums(B, 1, x, y)
+
+    def test_slices_smaller_than_the_block_still_run(self, spirals):
+        # 8-row slices multiply 8-row blocks where one worker multiplies 16
+        assert nn.leaf_block(512) == 16
+        x, y = spirals.train_x[:512], spirals.train_y[:512]
+        reduced = {}
+        for P in (1, 64):
+            _, _, grads = cluster.local_gradients(ready_workers(MLP_SPECS, 2, x, y, P))
+            reduced[P] = cluster.all_reduce(grads)
+        assert np.all(np.isfinite(reduced[64]))
+        scale = np.abs(reduced[1]).max()
+        assert np.abs(reduced[64] - reduced[1]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("B, P", [(512, 1), (256, 16)])
+    def test_bits_do_not_depend_on_blas_threads(self, B, P):
+        sums = []
+        for env in ({**os.environ, "OPENBLAS_NUM_THREADS": "1"}, dict(os.environ)):
+            proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, str(B), str(P)],
+                                  env=env, capture_output=True, text=True, check=True)
+            sums.append(proc.stdout.strip())
+        assert sums[0] == sums[1] and len(sums[0]) == 64
 
 
 class TestTrain:

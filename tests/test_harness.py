@@ -220,6 +220,16 @@ class TestRunExperiment:
             meta, _ = runner.read_csv(res.out_dir / name)
             assert meta["run.bitwise_invariant"] == flag
 
+    @pytest.mark.parametrize("workers, flag", [(4, "true"), (64, "false")])
+    def test_leaf_block_in_every_header(self, tmp_path, workers, flag):
+        # B=128 multiplies 4-row blocks; 64 workers hold 2-row slices it cannot divide
+        cfg = spirals_cfg(tmp_path, batch_size=128, workers=workers, epochs=1, lars=True)
+        res = runner.run_experiment(cfg, output_root=tmp_path)
+        for name in ("log.csv", "lambdas.csv", "cost.csv"):
+            meta, _ = runner.read_csv(res.out_dir / name)
+            assert meta["run.leaf_block"] == "4"
+            assert meta["run.bitwise_invariant"] == flag
+
     def test_profile_counts_the_built_parameters(self):
         assert runner.network_profile(MLP_SPECS).num_params == 4803
 
