@@ -159,8 +159,9 @@ def train(run, specs, dataset, hp, eval_test=True):
 
     Runs floor(E*n/B) iterations with floor(n/B) iterations per epoch and a
     deterministic per-epoch shuffle derived from (run.seed, epoch).  A
-    non-finite loss or update terminates the run with a divergence record
-    instead of raising.
+    non-finite forward, loss or update ends the run with a divergence record
+    instead of raising; an evaluation that overflows after k steps records
+    `diverged@<k> layer <i>`.
     """
     if run.global_batch != hp.batch_size:
         raise ConfigError(
@@ -179,50 +180,43 @@ def train(run, specs, dataset, hp, eval_test=True):
     log = TrainingLog()
 
     has_test = eval_test and getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
-    test_acc = float("nan")
     if has_test:
         test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
-        test_acc = nn.accuracy(net, test_x, test_y)
 
     epoch = 0
-    while st.iteration < st.max_iterations:
-        perm = np.random.default_rng((run.seed, epoch)).permutation(n)
-        for k in range(ipe):
-            if st.iteration >= st.max_iterations:
-                break
-            idx = perm[k * b:(k + 1) * b]
-            assign_batch(workers, train_x[idx], train_y[idx])
-            t0 = time.perf_counter()
-            try:
+    try:
+        test_acc = nn.accuracy(net, test_x, test_y) if has_test else float("nan")
+        while st.iteration < st.max_iterations:
+            perm = np.random.default_rng((run.seed, epoch)).permutation(n)
+            for k in range(ipe):
+                if st.iteration >= st.max_iterations:
+                    break
+                idx = perm[k * b:(k + 1) * b]
+                assign_batch(workers, train_x[idx], train_y[idx])
+                t0 = time.perf_counter()
                 loss, correct, lr, lambdas = global_step(run, workers, hp, st)
-            except NumericOverflowError as exc:
-                log.status = f"diverged@{st.iteration} layer {exc.layer_index}"
-                return log
-            except DivergenceError as exc:
-                log.status = f"diverged@{st.iteration} group {exc.group}"
-                return log
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            lams = sorted(lambdas.values())
-            log.rows.append(LogRow(
-                epoch=epoch,
-                iteration=st.iteration - 1,
-                lr=lr,
-                loss=loss,
-                train_acc=correct / b,
-                test_acc=test_acc,
-                lambda_min=lams[0],
-                lambda_med=lams[len(lams) // 2],
-                lambda_max=lams[-1],
-                wall_ms=wall_ms,
-            ))
-            log.lambda_history.append(dict(lambdas))
-            if not np.isfinite(loss):
-                log.status = f"diverged@{st.iteration - 1}"
-                return log
-        if has_test:
-            test_acc = nn.accuracy(net, test_x, test_y)
-            if log.rows:
-                log.rows[-1].test_acc = test_acc
-        epoch += 1
-    log.status = "completed"
+                wall_ms = (time.perf_counter() - t0) * 1000.0
+                lams = sorted(lambdas.values())
+                log.rows.append(LogRow(
+                    epoch=epoch,
+                    iteration=st.iteration - 1,
+                    lr=lr,
+                    loss=loss,
+                    train_acc=correct / b,
+                    test_acc=test_acc,
+                    lambda_min=lams[0],
+                    lambda_med=lams[len(lams) // 2],
+                    lambda_max=lams[-1],
+                    wall_ms=wall_ms,
+                ))
+                log.lambda_history.append(dict(lambdas))
+            if has_test:
+                test_acc = nn.accuracy(net, test_x, test_y)
+                if log.rows:
+                    log.rows[-1].test_acc = test_acc
+            epoch += 1
+    except NumericOverflowError as exc:
+        log.status = f"diverged@{st.iteration} layer {exc.layer_index}"
+    except DivergenceError as exc:
+        log.status = f"diverged@{st.iteration} group {exc.group}"
     return log

@@ -89,26 +89,28 @@ SCHEMA = (
 )
 
 
+# layer kind -> (constructor, type of each argument); relu and softmax-xent take none
+_LAYER_KINDS = {
+    nn.DENSE: (nn.dense, int),
+    nn.BATCHNORM: (nn.batchnorm, float),
+    nn.RELU: (nn.relu, str),
+    nn.SOFTMAX_XENT: (nn.softmax_xent, str),
+}
+
+
 def parse_layers(text):
     """Parse a layer stack like 'dense 2 64, batchnorm, relu, ..., softmax-xent'."""
     specs = []
     for i, chunk in enumerate(t.strip() for t in text.split(",")):
-        parts = chunk.split()
-        if not parts:
+        if not chunk:
             raise ConfigError(f"empty layer entry at position {i}")
-        kind, args = parts[0], parts[1:]
+        kind, *args = chunk.split()
+        if kind not in _LAYER_KINDS:
+            raise ConfigError(f"unknown layer kind {kind!r} at position {i}")
+        make, arg_type = _LAYER_KINDS[kind]
         try:
-            if kind == "dense":
-                specs.append(nn.dense(int(args[0]), int(args[1])))
-            elif kind == "batchnorm":
-                specs.append(nn.batchnorm(float(args[0])) if args else nn.batchnorm())
-            elif kind == "relu":
-                specs.append(nn.relu())
-            elif kind == "softmax-xent":
-                specs.append(nn.softmax_xent())
-            else:
-                raise ConfigError(f"unknown layer kind {kind!r} at position {i}")
-        except (IndexError, ValueError) as exc:
+            specs.append(make(*map(arg_type, args)))
+        except (TypeError, ValueError) as exc:  # wrong argument count or value
             raise ConfigError(f"bad layer entry {chunk!r}: {exc}") from exc
     return specs
 

@@ -115,45 +115,14 @@ class ParamSet:
         return h.hexdigest()
 
 
-def validate_specs(specs):
-    """Check dimension compatibility; return the feature width before each layer."""
-    if not specs:
-        raise ConfigError("empty layer stack")
-    if specs[-1].kind != SOFTMAX_XENT:
-        raise ConfigError("network must end in a softmax-xent layer")
-    if sum(1 for s in specs if s.kind == SOFTMAX_XENT) != 1:
-        raise ConfigError("exactly one softmax-xent layer allowed (at the end)")
-    if specs[0].kind != DENSE:
-        raise ConfigError("first layer must be dense (defines the input width)")
-    widths = []
-    width = specs[0].in_dim
-    for i, s in enumerate(specs):
-        widths.append(width)
-        if s.kind == DENSE:
-            if s.in_dim <= 0 or s.out_dim <= 0:
-                raise ConfigError(f"layer {i}: dense dims must be positive")
-            if s.in_dim != width:
-                raise ConfigError(
-                    f"layers {i - 1}->{i}: dense expects in_dim={width}, got {s.in_dim}"
-                )
-            width = s.out_dim
-        elif s.kind == BATCHNORM:
-            if s.eps <= 0:
-                raise ConfigError(f"layer {i}: batchnorm eps must be positive")
-        elif s.kind in (RELU, SOFTMAX_XENT):
-            pass
-        else:
-            raise ConfigError(f"layer {i}: unknown kind {s.kind!r}")
-    return widths
-
-
 class Network:
     """Layer stack plus its ParamSet and batch-norm running statistics."""
 
-    def __init__(self, specs, params, bn_state, input_dim, num_classes):
+    def __init__(self, specs, params, bn_state, layer_groups, input_dim, num_classes):
         self.specs = list(specs)
         self.params = params
         self.bn_state = bn_state  # layer index -> dict(mean, var)
+        self.layer_groups = layer_groups  # per layer: (weight, bias), (scale, shift) or ()
         self.input_dim = input_dim
         self.num_classes = num_classes
 
@@ -167,30 +136,51 @@ class Network:
 
 
 def init_network(specs, seed):
-    """Build a Network with deterministic scaled-uniform weight init.
+    """Check the layer stack and build its Network with deterministic init.
 
     Weights ~ U(-lim, lim) with lim = sqrt(6 / (fan_in + fan_out)) drawn from
     a single PCG64 stream seeded with `seed`; biases and norm shifts start at
     zero, norm scales at one.  Same (specs, seed) gives bitwise-identical
-    parameters.
+    parameters.  A stack whose kinds, order or widths do not fit is a ConfigError.
     """
-    widths = validate_specs(specs)
+    if not specs:
+        raise ConfigError("empty layer stack")
+    if specs[-1].kind != SOFTMAX_XENT:
+        raise ConfigError("network must end in a softmax-xent layer")
+    if specs[0].kind != DENSE:
+        raise ConfigError("first layer must be dense (defines the input width)")
     rng = np.random.Generator(np.random.PCG64(seed))
-    groups = []
+    layers = []  # per layer: its (name, category, initial array) groups
     bn_state = {}
+    width = specs[0].in_dim
     for i, s in enumerate(specs):
         if s.kind == DENSE:
+            if s.in_dim <= 0 or s.out_dim <= 0:
+                raise ConfigError(f"layer {i}: dense dims must be positive")
+            if s.in_dim != width:
+                raise ConfigError(
+                    f"layers {i - 1}->{i}: dense expects in_dim={width}, got {s.in_dim}"
+                )
             lim = np.sqrt(6.0 / (s.in_dim + s.out_dim))
             w = rng.uniform(-lim, lim, size=(s.in_dim, s.out_dim))
-            groups.append((f"dense{i}.weight", WEIGHT, w))
-            groups.append((f"dense{i}.bias", BIAS, np.zeros(s.out_dim)))
+            layers.append([(f"dense{i}.weight", WEIGHT, w),
+                           (f"dense{i}.bias", BIAS, np.zeros(s.out_dim))])
+            width = s.out_dim
         elif s.kind == BATCHNORM:
-            d = widths[i]
-            groups.append((f"bn{i}.scale", NORM_SCALE, np.ones(d)))
-            groups.append((f"bn{i}.shift", NORM_SHIFT, np.zeros(d)))
-            bn_state[i] = {"mean": np.zeros(d), "var": np.ones(d)}
-    num_classes = widths[-1]
-    return Network(specs, ParamSet(groups), bn_state, specs[0].in_dim, num_classes)
+            if s.eps <= 0:
+                raise ConfigError(f"layer {i}: batchnorm eps must be positive")
+            layers.append([(f"bn{i}.scale", NORM_SCALE, np.ones(width)),
+                           (f"bn{i}.shift", NORM_SHIFT, np.zeros(width))])
+            bn_state[i] = {"mean": np.zeros(width), "var": np.ones(width)}
+        elif s.kind == SOFTMAX_XENT and i < len(specs) - 1:
+            raise ConfigError("exactly one softmax-xent layer allowed (at the end)")
+        elif s.kind in (RELU, SOFTMAX_XENT):
+            layers.append([])
+        else:
+            raise ConfigError(f"layer {i}: unknown kind {s.kind!r}")
+    params = ParamSet(g for layer in layers for g in layer)
+    layer_groups = [tuple(params[name] for name, _, _ in layer) for layer in layers]
+    return Network(specs, params, bn_state, layer_groups, specs[0].in_dim, width)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +199,52 @@ def leaf_block(batch):
     the same fixed-shape products; B / leaf_block(B) is at most 32 blocks.
     """
     return max(1, (batch & -batch) // 32)
+
+
+def _forward(net, a, blocks, shard_sums=None, update_running=False):
+    """The layer walk that training and evaluation share; returns (logits, records).
+
+    `blocks(v)` shapes a dense layer's input for its GEMM.  With `shard_sums`
+    (training), batch norm uses the batch statistics reduced over the shard
+    trees and `records[i]` holds what the backward needs of layer i; without
+    it, batch norm reads `net.bn_state` and nothing is recorded.
+    """
+    n = len(a)
+    records = []
+    keep = records.append if shard_sums else lambda _: None
+    for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
+        if s.kind == DENSE:
+            w, b = groups
+            keep(a)
+            a = (blocks(a) @ w.param).reshape(n, -1)
+            a += b.param
+            _check_finite(a, i)
+        elif s.kind == RELU:
+            mask = a > 0
+            keep(mask)
+            a = a * mask
+        elif s.kind == BATCHNORM:
+            scale, shift = groups
+            st = net.bn_state[i]
+            if shard_sums:
+                if n < 2:
+                    raise DegenerateBatchError(
+                        f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
+                    )
+                mean = tree_reduce(list(shard_sums(a))) / n
+                var = np.maximum(tree_reduce(list(shard_sums(a * a))) / n - mean * mean, 0.0)
+            else:
+                mean, var = st["mean"], st["var"]
+            inv = 1.0 / np.sqrt(var + s.eps)
+            xhat = (a - mean) * inv
+            keep((xhat, inv))
+            a = scale.param * xhat + shift.param
+            _check_finite(a, i)
+            if update_running:
+                st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
+                st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
+    _check_finite(a, len(net.specs) - 1)
+    return a, records
 
 
 def forward_backward_shards(net, shard_x, shard_y, update_running=True):
@@ -233,8 +269,6 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     sizes = [len(x) for x in shard_x]
     if len(set(sizes)) > 1:
         raise PartitionError(f"shards of unequal size {sizes}")
-    specs = net.specs
-    params = net.params
     nshards, m = len(sizes), sizes[0]
     n = nshards * m
     c = math.gcd(leaf_block(n), m)
@@ -248,69 +282,40 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
         # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard trees
         return tree_sum(v.reshape(nshards, -1, *v.shape[1:]).swapaxes(0, 1))
 
-    records = []
-    for i, s in enumerate(specs):
-        if s.kind == DENSE:
-            records.append(a)
-            a = (blocks(a) @ params[f"dense{i}.weight"].param).reshape(n, -1)
-            a += params[f"dense{i}.bias"].param
-            _check_finite(a, i)
-        elif s.kind == RELU:
-            mask = a > 0
-            records.append(mask)
-            a = a * mask
-        elif s.kind == BATCHNORM:
-            if n < 2:
-                raise DegenerateBatchError(
-                    f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
-                )
-            mean = tree_reduce(list(shard_sums(a))) / n
-            var = np.maximum(tree_reduce(list(shard_sums(a * a))) / n - mean * mean, 0.0)
-            inv = 1.0 / np.sqrt(var + s.eps)
-            xhat = (a - mean) * inv
-            records.append((xhat, inv))
-            a = params[f"bn{i}.scale"].param * xhat + params[f"bn{i}.shift"].param
-            _check_finite(a, i)
-            if update_running:
-                st = net.bn_state[i]
-                st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
-                st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
-        else:  # softmax-xent, last layer
-            records.append(None)
+    a, records = _forward(net, a, blocks, shard_sums, update_running)
 
     # terminal softmax cross-entropy
-    _check_finite(a, len(specs) - 1)
     z = a - a.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
         losses = -np.log(p[idx, labels])
-    _check_finite(losses, len(specs) - 1)
+    _check_finite(losses, len(net.specs) - 1)
     loss_sum = float(tree_reduce(list(shard_sums(losses))))
     correct = int(np.count_nonzero(p.argmax(axis=1) == labels))
 
     # backward, sum convention; row j of grads is shard j's gradient
-    grads = np.empty((nshards, params.param.size))
+    grads = np.empty((nshards, net.params.param.size))
     d = p
     d[idx, labels] -= 1.0  # softmax minus one-hot
-    for i in range(len(specs) - 2, -1, -1):
-        s = specs[i]
-        rec = records[i]
+    for i in range(len(net.specs) - 2, -1, -1):
+        s, rec = net.specs[i], records[i]
         if s.kind == DENSE:
-            w = params[f"dense{i}.weight"]
+            w, b = net.layer_groups[i]
             partials = blocks(rec).swapaxes(1, 2) @ blocks(d)
             grads[:, w.span] = shard_sums(partials).reshape(nshards, -1)
-            grads[:, params[f"dense{i}.bias"].span] = shard_sums(d)
+            grads[:, b.span] = shard_sums(d)
             d = (blocks(d) @ w.param.T).reshape(n, -1)
         elif s.kind == RELU:
             d = d * rec
         elif s.kind == BATCHNORM:
+            scale, shift = net.layer_groups[i]
             xhat, inv = rec
-            grads[:, params[f"bn{i}.shift"].span] = t1 = shard_sums(d)
-            grads[:, params[f"bn{i}.scale"].span] = t2 = shard_sums(d * xhat)
+            grads[:, shift.span] = t1 = shard_sums(d)
+            grads[:, scale.span] = t2 = shard_sums(d * xhat)
             big_t1, big_t2 = tree_reduce(list(t1)), tree_reduce(list(t2))
-            d = params[f"bn{i}.scale"].param * inv * (d - big_t1 / n - xhat * (big_t2 / n))
+            d = scale.param * inv * (d - big_t1 / n - xhat * (big_t2 / n))
     return loss_sum, correct, grads
 
 
@@ -353,18 +358,9 @@ def loss_and_grad(net, inputs, labels, update_running=True):
 
 
 def predict_logits(net, inputs):
-    """Eval-mode forward (batch norm uses running statistics); fast path."""
-    x = np.asarray(inputs, dtype=np.float64)
-    for i, s in enumerate(net.specs):
-        if s.kind == DENSE:
-            x = x @ net.params[f"dense{i}.weight"].param + net.params[f"dense{i}.bias"].param
-        elif s.kind == RELU:
-            x = np.maximum(x, 0.0)
-        elif s.kind == BATCHNORM:
-            st = net.bn_state[i]
-            xhat = (x - st["mean"]) / np.sqrt(st["var"] + s.eps)
-            x = net.params[f"bn{i}.scale"].param * xhat + net.params[f"bn{i}.shift"].param
-    return x
+    """Eval-mode forward: the training layer walk, with batch norm on the running
+    statistics and each dense layer as one GEMM over all of `inputs`."""
+    return _forward(net, np.asarray(inputs, dtype=np.float64), lambda v: v)[0]
 
 
 def accuracy(net, inputs, labels):

@@ -23,9 +23,6 @@ EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
 EXIT_FORMAT = 4
 
-# flops per example for a dense layer: 2*in*out forward, ~4*in*out backward
-DENSE_FLOPS_FACTOR = 6
-
 
 @dataclass
 class ExperimentResult:
@@ -52,18 +49,12 @@ def build_dataset(ds):
 
 
 def network_profile(specs, name="experiment"):
-    """Analytical profile of the configured network (dense-dominated)."""
-    # |W| is counted on the ParamSet the network really builds
-    params = nn.init_network(specs, 0).params.param.size
-    flops = 0.0
-    width = specs[0].in_dim
-    for s in specs:
-        if s.kind == nn.DENSE:
-            flops += DENSE_FLOPS_FACTOR * s.in_dim * s.out_dim
-            width = s.out_dim
-        elif s.kind == nn.BATCHNORM:
-            flops += 10 * width
-    return costmodel.ModelProfile(name, params, float(flops))
+    """Analytical profile read off the network's ParamSet: flops per example are
+    6 per dense weight (2 forward, ~4 backward) plus 10 per batch-norm channel."""
+    params = nn.init_network(specs, 0).params
+    flops = sum({nn.WEIGHT: 6, nn.NORM_SCALE: 10}.get(g.category, 0) * g.param.size
+                for g in params)
+    return costmodel.ModelProfile(name, params.param.size, float(flops))
 
 
 def cost_report(cfg, n_train):

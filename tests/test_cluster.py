@@ -285,6 +285,17 @@ class TestTrain:
         # the forward pass overflowed: the status names the layer
         assert re.fullmatch(r"diverged@\d+ layer \d+", log.status), log.status
 
+    def test_evaluation_overflow_is_a_divergence(self):
+        # the test inputs overflow dense0 in the evaluation before the first step
+        ds = make_dataset(256, seed=4)
+        with np.errstate(over="ignore"):
+            ds.test_x = ds.test_x * 1e308
+        hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = cluster.train(cluster.ClusterRun(1, 64, seed=0), SMALL_SPECS, ds, hp)
+        assert log.status == "diverged@0 layer 0"
+        assert log.rows == []
+
     @pytest.mark.parametrize("P", [1, 4])
     def test_update_divergence_names_group(self, P):
         # inputs of scale 10 give dense0.weight gradients past 1, so lr = 1e308

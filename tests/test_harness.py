@@ -101,9 +101,12 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="missing config key"):
             config.parse_config_string("[network]\nlayers = dense 2 2, softmax-xent\n")
 
-    def test_bad_layer_entry(self):
-        with pytest.raises(ConfigError):
-            config.parse_layers("dense 2")
+    @pytest.mark.parametrize("entry", [
+        "dense 2", "dense 2 64 7", "relu 3", "batchnorm 0.001 9", "softmax-xent x",
+    ], ids=["dense-missing", "dense-extra", "relu-extra", "batchnorm-extra", "softmax-xent-extra"])
+    def test_bad_layer_entry(self, entry):
+        with pytest.raises(ConfigError, match=re.escape(f"bad layer entry {entry!r}")):
+            config.parse_layers(f"{entry}, softmax-xent")
 
     @pytest.mark.parametrize("edit, name", [
         (("lars_enabled = true", "lars_enable = true"), "hyper.lars_enable"),
@@ -231,7 +234,10 @@ class TestRunExperiment:
             assert meta["run.bitwise_invariant"] == flag
 
     def test_profile_counts_the_built_parameters(self):
-        assert runner.network_profile(MLP_SPECS).num_params == 4803
+        profile = runner.network_profile(MLP_SPECS)
+        assert profile.num_params == 4803
+        # 6 flops per dense weight entry, 10 per batch-norm channel: 6*4416 + 10*128
+        assert profile.flops_per_image == 27776.0
 
     def test_lambda_csv_emitted_for_lars(self, tmp_path):
         cfg = spirals_cfg(tmp_path, lars=True)

@@ -232,3 +232,31 @@ class TestBatchNorm:
         nn.loss_and_grad(net, x, y)
         after = net.bn_state[1]["mean"]
         assert not np.array_equal(before, after)
+
+
+class TestEval:
+    def _trained_net(self):
+        net = nn.init_network(SMALL_SPECS, 5)
+        for step in range(20):
+            x, y = random_batch(step, n=16)
+            nn.loss_and_grad(net, 3.0 * x + 1.0, y)
+            net.params.param -= 0.1 * net.params.grad
+        return net
+
+    def _reference(self, net, x, batch_stats):
+        p = net.params
+        h = x @ p["dense0.weight"].param + p["dense0.bias"].param
+        if batch_stats:
+            mean, var = h.mean(axis=0), h.var(axis=0)
+        else:
+            mean, var = net.bn_state[1]["mean"], net.bn_state[1]["var"]
+        h = (h - mean) / np.sqrt(var + nn.BN_EPS) * p["bn1.scale"].param + p["bn1.shift"].param
+        h = np.maximum(h, 0.0)
+        return h @ p["dense3.weight"].param + p["dense3.bias"].param
+
+    def test_logits_use_running_statistics(self):
+        net = self._trained_net()
+        x, _ = random_batch(99, n=50)
+        logits = nn.predict_logits(net, x)
+        np.testing.assert_allclose(logits, self._reference(net, x, False), rtol=1e-12)
+        assert not np.allclose(logits, self._reference(net, x, True), rtol=1e-6)
