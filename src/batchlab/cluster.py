@@ -136,8 +136,12 @@ def local_gradients(workers):
 
 
 def all_reduce(grads):
-    """Sum the P gradient rows in the fixed pairwise-left tree order."""
-    return tree_reduce(list(grads))
+    """Sum the P gradient rows in the fixed pairwise-left tree order.
+
+    Each combine adds its right row into its left one, so `grads` is
+    consumed and the sum is returned in its first row.
+    """
+    return tree_reduce(list(grads), lambda a, b: np.add(a, b, out=a))
 
 
 def global_step(run, workers, hp, st):
@@ -154,7 +158,7 @@ def global_step(run, workers, hp, st):
     return loss_sum / b, correct, lr, lambdas
 
 
-def train(run, specs, dataset, hp, eval_test=True):
+def train(run, specs, dataset, hp):
     """Fixed-epoch-budget synchronous training; returns a TrainingLog.
 
     Runs floor(E*n/B) iterations with floor(n/B) iterations per epoch and a
@@ -179,7 +183,7 @@ def train(run, specs, dataset, hp, eval_test=True):
     workers = make_workers(net, run.workers)
     log = TrainingLog()
 
-    has_test = eval_test and getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
+    has_test = getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
     if has_test:
         test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
 

@@ -116,7 +116,13 @@ class ParamSet:
 
 
 class Network:
-    """Layer stack plus its ParamSet and batch-norm running statistics."""
+    """Layer stack plus its ParamSet, batch-norm running statistics and step workspace.
+
+    The workspace holds the arrays a training step writes, keyed by (role,
+    shape, dtype).  It starts empty; the first step of each batch shape fills
+    it and later steps of that shape reuse its arrays, so a step allocates no
+    batch-sized array.
+    """
 
     def __init__(self, specs, params, bn_state, layer_groups, input_dim, num_classes):
         self.specs = list(specs)
@@ -125,6 +131,15 @@ class Network:
         self.layer_groups = layer_groups  # per layer: (weight, bias), (scale, shift) or ()
         self.input_dim = input_dim
         self.num_classes = num_classes
+        self.workspace = {}
+
+    def buffer(self, role, shape, dtype=np.float64):
+        """The workspace array for (role, shape, dtype), created on first use."""
+        key = (role, shape, dtype)
+        buf = self.workspace.get(key)
+        if buf is None:
+            buf = self.workspace[key] = np.empty(shape, dtype)
+        return buf
 
     def checksum(self):
         h = hashlib.sha256()
@@ -201,13 +216,21 @@ def leaf_block(batch):
     return max(1, (batch & -batch) // 32)
 
 
-def _forward(net, a, blocks, shard_sums=None, update_running=False):
+def _fresh(role, shape, dtype=np.float64):
+    return np.empty(shape, dtype)
+
+
+def _forward(net, a, blocks, alloc, shard_sums=None, update_running=False):
     """The layer walk that training and evaluation share; returns (logits, records).
 
-    `blocks(v)` shapes a dense layer's input for its GEMM.  With `shard_sums`
-    (training), batch norm uses the batch statistics reduced over the shard
-    trees and `records[i]` holds what the backward needs of layer i; without
-    it, batch norm reads `net.bn_state` and nothing is recorded.
+    `blocks(v)` shapes a dense layer's input for its GEMM, and `alloc(role,
+    shape, dtype)` supplies each array the walk writes.  Only dense layers
+    take new arrays for their outputs: batch norm writes its output over its
+    input and relu multiplies in place, so the input `a` is never written,
+    the first layer being dense.  With `shard_sums` (training), batch norm uses
+    the batch statistics reduced over the shard trees and `records[i]` holds
+    what the backward needs of layer i; without it, batch norm reads
+    `net.bn_state` and nothing is recorded.
     """
     n = len(a)
     records = []
@@ -216,29 +239,35 @@ def _forward(net, a, blocks, shard_sums=None, update_running=False):
         if s.kind == DENSE:
             w, b = groups
             keep(a)
-            a = (blocks(a) @ w.param).reshape(n, -1)
+            out = alloc(("dense", i), (n, s.out_dim))
+            np.matmul(blocks(a), w.param, out=blocks(out))
+            a = out
             a += b.param
             _check_finite(a, i)
         elif s.kind == RELU:
-            mask = a > 0
+            mask = np.greater(a, 0, out=alloc(("relu", i), a.shape, np.bool_))
             keep(mask)
-            a = a * mask
+            a *= mask
         elif s.kind == BATCHNORM:
             scale, shift = groups
             st = net.bn_state[i]
+            xhat = alloc(("batchnorm", i), a.shape)
             if shard_sums:
                 if n < 2:
                     raise DegenerateBatchError(
                         f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
                     )
                 mean = tree_reduce(list(shard_sums(a))) / n
-                var = np.maximum(tree_reduce(list(shard_sums(a * a))) / n - mean * mean, 0.0)
+                sq_sums = shard_sums(np.multiply(a, a, out=xhat), in_place=True)
+                var = np.maximum(tree_reduce(list(sq_sums)) / n - mean * mean, 0.0)
             else:
                 mean, var = st["mean"], st["var"]
             inv = 1.0 / np.sqrt(var + s.eps)
-            xhat = (a - mean) * inv
+            np.subtract(a, mean, out=xhat)
+            xhat *= inv
             keep((xhat, inv))
-            a = scale.param * xhat + shift.param
+            np.multiply(xhat, scale.param, out=a)
+            a += shift.param
             _check_finite(a, i)
             if update_running:
                 st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
@@ -250,7 +279,8 @@ def _forward(net, a, blocks, shard_sums=None, update_running=False):
 def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     """Run one synchronous forward+backward of `net` over equal batch shards.
 
-    The shards are concatenated and every layer runs once over the batch.
+    The shards are concatenated and every layer runs once over the batch,
+    writing every batch-sized array into `net.workspace`.
     Every dense product is one BLAS GEMM per block of c = gcd(leaf_block(B),
     B/P) consecutive rows, and the weight gradient's block partials
     x_blk.T @ d_blk are a batch sum like any other.  Every batch sum is a
@@ -264,7 +294,8 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
     a (shards, |W|) array whose row j is shard j's sum-convention gradient,
-    laid out like `net.params.grad`.
+    laid out like `net.params.grad`.  `grads` is a workspace array, valid
+    until the next call on `net`.
     """
     sizes = [len(x) for x in shard_x]
     if len(set(sizes)) > 1:
@@ -272,50 +303,65 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     nshards, m = len(sizes), sizes[0]
     n = nshards * m
     c = math.gcd(leaf_block(n), m)
-    a = np.asarray(np.concatenate(shard_x), dtype=np.float64)
+    buf = net.buffer
+    a = np.concatenate(shard_x, out=buf("input", (n, net.input_dim)))
     labels = np.asarray(np.concatenate(shard_y), dtype=np.int64)
 
     def blocks(v):
         return v.reshape(n // c, c, *v.shape[1:])
 
-    def shard_sums(v):
-        # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard trees
-        return tree_sum(v.reshape(nshards, -1, *v.shape[1:]).swapaxes(0, 1))
+    def shard_sums(v, in_place=False):
+        # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard
+        # trees; the result is a view of a workspace array, or of v when in place
+        v = v.reshape(nshards, -1, *v.shape[1:]).swapaxes(0, 1)
+        scratch = v if in_place else buf("sums", ((m + 1) // 2, *v.shape[1:]))
+        return tree_sum(v, scratch)
 
-    a, records = _forward(net, a, blocks, shard_sums, update_running)
+    a, records = _forward(net, a, blocks, buf, shard_sums, update_running)
 
-    # terminal softmax cross-entropy
-    z = a - a.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    # terminal softmax cross-entropy, written over the logits
+    p = a
+    np.subtract(p, p.max(axis=1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
         losses = -np.log(p[idx, labels])
     _check_finite(losses, len(net.specs) - 1)
-    loss_sum = float(tree_reduce(list(shard_sums(losses))))
+    loss_sum = float(tree_reduce(list(shard_sums(losses, in_place=True))))
     correct = int(np.count_nonzero(p.argmax(axis=1) == labels))
 
-    # backward, sum convention; row j of grads is shard j's gradient
-    grads = np.empty((nshards, net.params.param.size))
+    # backward, sum convention; row j of grads is shard j's gradient.  Each
+    # dense layer's input gradient is written over its input record, which
+    # is spent once the weight gradient is taken.
+    grads = buf("grads", (nshards, net.params.param.size))
     d = p
     d[idx, labels] -= 1.0  # softmax minus one-hot
     for i in range(len(net.specs) - 2, -1, -1):
         s, rec = net.specs[i], records[i]
         if s.kind == DENSE:
             w, b = net.layer_groups[i]
-            partials = blocks(rec).swapaxes(1, 2) @ blocks(d)
-            grads[:, w.span] = shard_sums(partials).reshape(nshards, -1)
+            partials = buf("partials", (n // c, s.in_dim, s.out_dim))
+            np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=partials)
+            grads[:, w.span] = shard_sums(partials, in_place=True).reshape(nshards, -1)
             grads[:, b.span] = shard_sums(d)
-            d = (blocks(d) @ w.param.T).reshape(n, -1)
+            if i > 0:  # nothing uses the gradient of the network's input
+                np.matmul(blocks(d), w.param.T, out=blocks(rec))
+                d = rec
         elif s.kind == RELU:
-            d = d * rec
+            d *= rec
         elif s.kind == BATCHNORM:
             scale, shift = net.layer_groups[i]
             xhat, inv = rec
-            grads[:, shift.span] = t1 = shard_sums(d)
-            grads[:, scale.span] = t2 = shard_sums(d * xhat)
-            big_t1, big_t2 = tree_reduce(list(t1)), tree_reduce(list(t2))
-            d = scale.param * inv * (d - big_t1 / n - xhat * (big_t2 / n))
+            grads[:, shift.span] = shard_sums(d)
+            dx = np.multiply(d, xhat, out=buf("dxhat", d.shape))
+            grads[:, scale.span] = shard_sums(dx, in_place=True)
+            mean_t1 = tree_reduce(list(grads[:, shift.span])) / n
+            mean_t2 = tree_reduce(list(grads[:, scale.span])) / n
+            # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place
+            d -= mean_t1
+            d -= np.multiply(xhat, mean_t2, out=dx)
+            d *= scale.param * inv
     return loss_sum, correct, grads
 
 
@@ -360,7 +406,7 @@ def loss_and_grad(net, inputs, labels, update_running=True):
 def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
     statistics and each dense layer as one GEMM over all of `inputs`."""
-    return _forward(net, np.asarray(inputs, dtype=np.float64), lambda v: v)[0]
+    return _forward(net, np.asarray(inputs, dtype=np.float64), lambda v: v, _fresh)[0]
 
 
 def accuracy(net, inputs, labels):

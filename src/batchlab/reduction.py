@@ -12,18 +12,36 @@ local batch B/P is a power of two, a P-worker reduction reproduces the
 import numpy as np
 
 
-def tree_sum(values):
+def tree_sum(values, scratch=None):
     """Sum an ndarray over axis 0 with a fixed pairwise reduction tree.
 
-    An odd trailing element is carried to the next level unchanged.
+    An odd trailing element is carried to the next level unchanged.  The
+    first level of k rows is written into `scratch`, an array of at least
+    ceil(k/2) rows of `values`' trailing shape (allocated when not given),
+    and every later level is reduced in place there, so for k > 1 the result
+    is a view of `scratch[0]`.  Passing `values` itself as `scratch` reduces
+    in place and overwrites `values`.  The additions, and so the bits, are
+    the same either way.
     """
     values = np.asarray(values)
-    while values.shape[0] > 1:
-        m = (values.shape[0] // 2) * 2
-        reduced = values[0:m:2] + values[1:m:2]
-        if values.shape[0] % 2:
-            reduced = np.concatenate([reduced, values[-1:]], axis=0)
-        values = reduced
+    k = values.shape[0]
+    if k > 1 and scratch is not values:
+        h = k // 2
+        if scratch is None:
+            scratch = np.empty((h + k % 2, *values.shape[1:]), values.dtype)
+        np.add(values[0:2 * h:2], values[1:2 * h:2], out=scratch[:h])
+        if k % 2:
+            scratch[h] = values[k - 1]
+        values, k = scratch, h + k % 2
+    # Level by level in place: at stride s the live rows are 0, s, 2s, ...;
+    # each left row takes its right neighbour, and an odd last row already
+    # sits where the next level reads it.
+    s = 1
+    while k > 1:
+        h = k // 2
+        left = values[0:2 * h * s:2 * s]
+        np.add(left, values[s:2 * h * s:2 * s], out=left)
+        k, s = h + k % 2, 2 * s
     return values[0]
 
 

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,12 +167,12 @@ class TestGlobalStep:
         assert nets[1].checksum() == nets[P].checksum()
 
     def test_hundred_step_trajectories_bitwise_equal(self):
-        ds = make_dataset(512, seed=8)
+        full = make_dataset(512, seed=8)
+        ds = data.Dataset(full.train_x, full.train_y, full.test_x[:0], full.test_y[:0], 3, 2)
         hp = optim.HyperParams(base_lr=0.05, epochs=13, batch_size=64)
         losses = {}
         for P in (1, 4):
-            log = cluster.train(cluster.ClusterRun(P, 64, seed=11), SMALL_SPECS, ds, hp,
-                                eval_test=False)
+            log = cluster.train(cluster.ClusterRun(P, 64, seed=11), SMALL_SPECS, ds, hp)
             losses[P] = [r.loss for r in log.rows]
         assert len(losses[1]) == 104  # floor(13 * 512 / 64)
         assert losses[1][:100] == losses[4][:100]
@@ -248,6 +249,58 @@ class TestLeafBlocks:
                                   env=env, capture_output=True, text=True, check=True)
             sums.append(proc.stdout.strip())
         assert sums[0] == sums[1] and len(sums[0]) == 64
+
+
+def lars_step(net, P, x, y):
+    """One B=len(x) LARS global_step of `net` split over P workers; returns its loss."""
+    B = len(x)
+    hp = optim.HyperParams(base_lr=0.05 * B / 32, epochs=1, batch_size=B, lars_enabled=True)
+    st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=10, iteration=3)
+    workers = cluster.make_workers(net, P)
+    cluster.assign_batch(workers, x, y)
+    return cluster.global_step(cluster.ClusterRun(P, B), workers, hp, st_)[0]
+
+
+class TestWorkspace:
+    def test_stale_contents_never_leak_into_a_step(self, spirals):
+        # Poison every workspace array between steps and alternate two batch
+        # shapes on one network: each step must still give the loss, the
+        # reduced gradient and the update of a fresh network in its state.
+        net = nn.init_network(MLP_SPECS, 4)
+        x, y = spirals.train_x, spirals.train_y
+        for k, (B, P) in enumerate([(256, 16), (64, 4)] * 3):
+            for arr in net.workspace.values():
+                arr[...] = True if arr.dtype == np.bool_ else np.nan
+            fresh = nn.init_network(MLP_SPECS, 4)
+            fresh.params.param[:] = net.params.param
+            fresh.params.momentum[:] = net.params.momentum
+            fresh.bn_state = {i: dict(st_) for i, st_ in net.bn_state.items()}
+            rows = slice(k * 256, k * 256 + B)
+            loss = lars_step(net, P, x[rows], y[rows])
+            assert loss == lars_step(fresh, P, x[rows], y[rows])
+            assert net.params.grad.tobytes() == fresh.params.grad.tobytes()
+            assert net.checksum() == fresh.checksum()
+        assert len({key[1] for key in net.workspace if key[0] == "input"}) == 2
+
+    @pytest.mark.parametrize("B, P", [(256, 16), (512, 1)])
+    def test_a_warm_step_allocates_no_batch_sized_array(self, spirals, B, P):
+        net = nn.init_network(MLP_SPECS, 4)
+        x, y = spirals.train_x[:B], spirals.train_y[:B]
+        for _ in range(2):
+            lars_step(net, P, x, y)
+        before = dict(net.workspace)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lars_step(net, P, x, y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert net.workspace.keys() == before.keys()
+        assert all(net.workspace[key] is arr for key, arr in before.items())
+        # the step's own batch-sized arrays come to megabytes (a 1 MB weight
+        # gradient block array at both shapes); what is left is small
+        assert peak < 512 * 1024, peak
 
 
 class TestTrain:

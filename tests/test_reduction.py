@@ -25,3 +25,24 @@ def test_slice_trees_compose_into_whole_tree(case):
     whole, workers = case
     partials = [tree_sum(s) for s in np.split(whole, workers)]
     assert tree_reduce(partials).tobytes() == tree_sum(whole).tobytes()
+
+
+@st.composite
+def summands(draw):
+    """A float64 array of 1 to 40 rows, odd and even counts, with a trailing shape."""
+    rows = draw(st.integers(1, 40))
+    trailing = draw(st.sampled_from([(), (3,), (2, 5)]))
+    return draw(hnp.arrays(np.float64, (rows, *trailing), elements=FLOATS))
+
+
+@given(summands())
+def test_scratch_and_in_place_trees_match_the_pairwise_tree(values):
+    # The workspace engine sums into a reused scratch array, or over the
+    # summands themselves; both must perform the additions of the plain
+    # pairwise tree, which tree_reduce spells out one row at a time.
+    expected = tree_reduce(list(values)).tobytes()
+    assert tree_sum(values).tobytes() == expected
+    scratch = np.full(((len(values) + 1) // 2, *values.shape[1:]), np.nan)
+    assert tree_sum(values, scratch).tobytes() == expected
+    consumed = values.copy()
+    assert tree_sum(consumed, consumed).tobytes() == expected
