@@ -1,15 +1,16 @@
 """Deterministic in-process simulation of P-worker synchronous SGD.
 
-Every worker reads one shared parameter store and holds a contiguous slice
-of the global batch.  In synchronous SGD all workers apply the same reduced
-gradient with the same rule, so their replicas are identical by construction
-and one store stands for all of them; the simulator updates it once per step.
-Local gradients are per-example tree sums over each slice, reduced across
-workers with the same pairwise tree; the summed gradient is divided by the
-global batch size once.  When the local batch size is a power of two the
-per-worker trees compose into the tree a single worker would use; when
-`nn.leaf_block(B)` also divides it, the dense GEMM blocks are the 1-worker
-ones, so the P-worker trajectory is bitwise-identical to the 1-worker one.
+Every worker record shares one parameter store and the step's global batch;
+worker j owns rows [j*B/P, (j+1)*B/P) of it.  In synchronous SGD all workers
+apply the same reduced gradient with the same rule, so their replicas are
+identical by construction and one store stands for all of them; the
+simulator updates it once per step.  Local gradients are per-example tree
+sums over each worker's rows, reduced across workers with the same pairwise
+tree; the summed gradient is divided by the global batch size once.  When
+the local batch size is a power of two the per-worker trees compose into the
+tree a single worker would use; when `nn.leaf_block(B)` also divides it, the
+dense GEMM blocks are the 1-worker ones, so the P-worker trajectory is
+bitwise-identical to the 1-worker one.
 """
 
 import time
@@ -91,26 +92,15 @@ class TrainingLog:
         return self.rows[-1].test_acc if self.rows else float("nan")
 
 
-def partition_batch(batch_x, batch_y, workers):
-    """Contiguous index-order slices, one per worker."""
-    b = len(batch_x)
-    if b % workers != 0:
-        raise PartitionError(f"batch of {b} not divisible by {workers} workers")
-    step = b // workers
-    return [
-        (batch_x[j * step:(j + 1) * step], batch_y[j * step:(j + 1) * step])
-        for j in range(workers)
-    ]
-
-
 def make_workers(net, count):
     """`count` workers that all read the one parameter store `net`."""
     return [WorkerState(j, net) for j in range(count)]
 
 
 def assign_batch(workers, batch_x, batch_y):
-    for w, (x, y) in zip(workers, partition_batch(batch_x, batch_y, len(workers))):
-        w.batch_x, w.batch_y = x, y
+    """Give every worker the step's global batch, shared like the store."""
+    for w in workers:
+        w.batch_x, w.batch_y = batch_x, batch_y
 
 
 def check_synchronized(workers):
@@ -119,20 +109,6 @@ def check_synchronized(workers):
     bad = [w.worker_id for w in workers if w.net is not net]
     if bad:
         raise ConsistencyError(f"workers {bad} do not share worker 0's parameter store")
-
-
-def local_gradients(workers):
-    """Per-worker sum-convention gradients over the assigned slices.
-
-    Batch-norm statistics are exchanged over the global batch (sync-BN), so
-    this performs the collective forward/backward for all workers at once.
-    Returns (loss_sum, correct_count, grads) with grads a (P, |W|) array whose
-    row j is worker j's gradient.
-    """
-    check_synchronized(workers)
-    xs = [w.batch_x for w in workers]
-    ys = [w.batch_y for w in workers]
-    return nn.forward_backward_shards(workers[0].net, xs, ys)
 
 
 def all_reduce(grads):
@@ -147,12 +123,18 @@ def all_reduce(grads):
 def global_step(run, workers, hp, st):
     """One synchronous iteration: local grads, all-reduce, one shared update.
 
+    Batch-norm statistics are exchanged over the global batch (sync-BN), so
+    one collective forward/backward computes every worker's gradient.
     Returns (mean_loss, correct_count, lr, lambdas), where lr is the
     scheduled learning rate the update applied.
     """
-    loss_sum, correct, grads = local_gradients(workers)
-    b = sum(len(w.batch_x) for w in workers)
-    params = workers[0].net.params
+    check_synchronized(workers)
+    w = workers[0]
+    loss_sum, correct, grads = nn.forward_backward_shards(
+        w.net, w.batch_x, w.batch_y, len(workers)
+    )
+    b = len(w.batch_x)
+    params = w.net.params
     np.divide(all_reduce(grads), b, out=params.grad)
     lr, lambdas = optim.sgd_step(params, hp, st)
     return loss_sum / b, correct, lr, lambdas
@@ -183,7 +165,7 @@ def train(run, specs, dataset, hp):
     workers = make_workers(net, run.workers)
     log = TrainingLog()
 
-    has_test = getattr(dataset, "test_x", None) is not None and len(dataset.test_x)
+    has_test = len(dataset.test_x) > 0
     if has_test:
         test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
 

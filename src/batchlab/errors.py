@@ -17,11 +17,11 @@ class NumericOverflowError(BatchLabError):
         super().__init__(message or f"non-finite activations at layer {layer_index}")
 
 
-class DegenerateBatchError(BatchLabError):
+class DegenerateBatchError(ConfigError):
     """Batch statistics requested on a batch too small to define them."""
 
 
-class PartitionError(BatchLabError):
+class PartitionError(ConfigError):
     """Global batch not divisible by the worker count."""
 
 

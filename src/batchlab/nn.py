@@ -4,7 +4,8 @@ Layers: dense, batchnorm, relu, and a terminal softmax cross-entropy loss.
 Everything is float64.  One array carries the whole batch through the
 layers.  Dense products are BLAS GEMMs over fixed blocks of
 :func:`leaf_block` rows, a shape set by the global batch size alone.  A
-P-worker split only orders the batch sums: a pairwise tree (from
+P-worker split, in which worker j owns rows [j*B/P, (j+1)*B/P) of that one
+array, only orders the batch sums: a pairwise tree (from
 :mod:`batchlab.reduction`) within each worker's slice, then the same tree
 over the P partials.  For power-of-two slices that the block size divides,
 that is the single-worker tree, so both runs perform bit-identical arithmetic
@@ -220,7 +221,7 @@ def _fresh(role, shape, dtype=np.float64):
     return np.empty(shape, dtype)
 
 
-def _forward(net, a, blocks, alloc, shard_sums=None, update_running=False):
+def _forward(net, a, blocks, alloc, shard_sums=None):
     """The layer walk that training and evaluation share; returns (logits, records).
 
     `blocks(v)` shapes a dense layer's input for its GEMM, and `alloc(role,
@@ -228,9 +229,10 @@ def _forward(net, a, blocks, alloc, shard_sums=None, update_running=False):
     take new arrays for their outputs: batch norm writes its output over its
     input and relu multiplies in place, so the input `a` is never written,
     the first layer being dense.  With `shard_sums` (training), batch norm uses
-    the batch statistics reduced over the shard trees and `records[i]` holds
-    what the backward needs of layer i; without it, batch norm reads
-    `net.bn_state` and nothing is recorded.
+    the batch statistics reduced over the shard trees, folds them into the
+    running statistics `net.bn_state`, and `records[i]` holds what the backward
+    needs of layer i; without it (evaluation), batch norm reads `net.bn_state`
+    and nothing is recorded.
     """
     n = len(a)
     records = []
@@ -269,17 +271,19 @@ def _forward(net, a, blocks, alloc, shard_sums=None, update_running=False):
             np.multiply(xhat, scale.param, out=a)
             a += shift.param
             _check_finite(a, i)
-            if update_running:
+            if shard_sums:
                 st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
                 st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
     _check_finite(a, len(net.specs) - 1)
     return a, records
 
 
-def forward_backward_shards(net, shard_x, shard_y, update_running=True):
-    """Run one synchronous forward+backward of `net` over equal batch shards.
+def forward_backward_shards(net, x, y, shards):
+    """Run one synchronous forward+backward of `net` over the batch `x`, `y`
+    split into `shards` equal shards: shard j is rows [j*B/P, (j+1)*B/P).
 
-    The shards are concatenated and every layer runs once over the batch,
+    `x` and `y` are float64 / int64 arrays as :func:`check_batch` returns
+    them; `x` is read, never written.  Every layer runs once over the batch,
     writing every batch-sized array into `net.workspace`.
     Every dense product is one BLAS GEMM per block of c = gcd(leaf_block(B),
     B/P) consecutive rows, and the weight gradient's block partials
@@ -289,7 +293,8 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     the blocks and trees are those of the whole batch, so results are
     independent of the shard layout.  Batch-norm statistics and their
     backward coupling terms are reduced over the global batch this way
-    (sync-BN), and the running statistics are updated once per layer.
+    (sync-BN), and the running statistics are updated once per layer.  A
+    batch that `shards` does not divide is a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -297,15 +302,12 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     laid out like `net.params.grad`.  `grads` is a workspace array, valid
     until the next call on `net`.
     """
-    sizes = [len(x) for x in shard_x]
-    if len(set(sizes)) > 1:
-        raise PartitionError(f"shards of unequal size {sizes}")
-    nshards, m = len(sizes), sizes[0]
-    n = nshards * m
+    n = len(x)
+    if shards < 1 or n % shards:
+        raise PartitionError(f"batch of {n} not divisible into {shards} shards")
+    m = n // shards
     c = math.gcd(leaf_block(n), m)
     buf = net.buffer
-    a = np.concatenate(shard_x, out=buf("input", (n, net.input_dim)))
-    labels = np.asarray(np.concatenate(shard_y), dtype=np.int64)
 
     def blocks(v):
         return v.reshape(n // c, c, *v.shape[1:])
@@ -313,11 +315,11 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     def shard_sums(v, in_place=False):
         # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard
         # trees; the result is a view of a workspace array, or of v when in place
-        v = v.reshape(nshards, -1, *v.shape[1:]).swapaxes(0, 1)
+        v = v.reshape(shards, -1, *v.shape[1:]).swapaxes(0, 1)
         scratch = v if in_place else buf("sums", ((m + 1) // 2, *v.shape[1:]))
         return tree_sum(v, scratch)
 
-    a, records = _forward(net, a, blocks, buf, shard_sums, update_running)
+    a, records = _forward(net, x, blocks, buf, shard_sums)
 
     # terminal softmax cross-entropy, written over the logits
     p = a
@@ -326,24 +328,24 @@ def forward_backward_shards(net, shard_x, shard_y, update_running=True):
     p /= p.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
-        losses = -np.log(p[idx, labels])
+        losses = -np.log(p[idx, y])
     _check_finite(losses, len(net.specs) - 1)
     loss_sum = float(tree_reduce(list(shard_sums(losses, in_place=True))))
-    correct = int(np.count_nonzero(p.argmax(axis=1) == labels))
+    correct = int(np.count_nonzero(p.argmax(axis=1) == y))
 
     # backward, sum convention; row j of grads is shard j's gradient.  Each
     # dense layer's input gradient is written over its input record, which
     # is spent once the weight gradient is taken.
-    grads = buf("grads", (nshards, net.params.param.size))
+    grads = buf("grads", (shards, net.params.param.size))
     d = p
-    d[idx, labels] -= 1.0  # softmax minus one-hot
+    d[idx, y] -= 1.0  # softmax minus one-hot
     for i in range(len(net.specs) - 2, -1, -1):
         s, rec = net.specs[i], records[i]
         if s.kind == DENSE:
             w, b = net.layer_groups[i]
             partials = buf("partials", (n // c, s.in_dim, s.out_dim))
             np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=partials)
-            grads[:, w.span] = shard_sums(partials, in_place=True).reshape(nshards, -1)
+            grads[:, w.span] = shard_sums(partials, in_place=True).reshape(shards, -1)
             grads[:, b.span] = shard_sums(d)
             if i > 0:  # nothing uses the gradient of the network's input
                 np.matmul(blocks(d), w.param.T, out=blocks(rec))
@@ -392,12 +394,14 @@ def check_batch(net, inputs, labels):
     return inputs, labels
 
 
-def loss_and_grad(net, inputs, labels, update_running=True):
-    """Mean softmax cross-entropy over the batch; fills the grad buffers with its gradient."""
+def loss_and_grad(net, inputs, labels):
+    """Mean softmax cross-entropy over the batch; fills the grad buffers with its gradient.
+
+    Like every training step it folds the batch statistics into the
+    batch-norm running statistics, which training itself never reads.
+    """
     inputs, labels = check_batch(net, inputs, labels)
-    loss_sum, _, grads = forward_backward_shards(
-        net, [inputs], [labels], update_running=update_running
-    )
+    loss_sum, _, grads = forward_backward_shards(net, inputs, labels, 1)
     n = len(inputs)
     np.divide(grads[0], n, out=net.params.grad)
     return loss_sum / n

@@ -50,9 +50,9 @@ def numeric_gradients(net, x, y, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = nn.loss_and_grad(net, x, y, update_running=False)
+            lp = nn.loss_and_grad(net, x, y)
             flat[i] = orig - h
-            lm = nn.loss_and_grad(net, x, y, update_running=False)
+            lm = nn.loss_and_grad(net, x, y)
             flat[i] = orig
             nflat[i] = (lp - lm) / (2 * h)
         out[g.name] = num
@@ -61,7 +61,7 @@ def numeric_gradients(net, x, y, h=1e-5):
 
 def gradient_errors(net, x, y):
     """name -> norm-relative error between analytic and numeric gradients."""
-    nn.loss_and_grad(net, x, y, update_running=False)
+    nn.loss_and_grad(net, x, y)
     analytic = {g.name: g.grad.copy() for g in net.params}
     numeric = numeric_gradients(net, x, y)
     errs = {}

@@ -28,26 +28,16 @@ def ready_workers(specs, seed, batch_x, batch_y, P):
     return workers
 
 
+def local_grads(specs, seed, x, y, P):
+    """The (P, |W|) per-worker gradients of a fresh `specs` network on (x, y)."""
+    return nn.forward_backward_shards(nn.init_network(specs, seed), x, y, P)[2]
+
+
 class TestPartition:
-    def test_even_slices_preserve_order(self):
-        x = np.arange(16, dtype=float).reshape(8, 2)
-        y = np.arange(8)
-        parts = cluster.partition_batch(x, y, 4)
-        assert len(parts) == 4
-        assert all(len(px) == 2 for px, _ in parts)
-        assert np.array_equal(np.concatenate([px for px, _ in parts]), x)
-        assert np.array_equal(np.concatenate([py for _, py in parts]), y)
-
-    def test_single_worker_identity(self):
-        x = np.arange(16, dtype=float).reshape(8, 2)
-        y = np.arange(8)
-        (px, py), = cluster.partition_batch(x, y, 1)
-        assert np.array_equal(px, x) and np.array_equal(py, y)
-
     def test_indivisible_rejected(self):
-        x = np.zeros((10, 2))
-        with pytest.raises(PartitionError):
-            cluster.partition_batch(x, np.zeros(10, dtype=int), 4)
+        x, y = random_batch(0, n=10)
+        with pytest.raises(PartitionError, match="10 not divisible into 4"):
+            local_grads(NOBN_SPECS, 0, x, y, 4)
 
     def test_cluster_run_validates_divisibility(self):
         with pytest.raises(PartitionError):
@@ -57,8 +47,7 @@ class TestPartition:
 class TestLocalGradients:
     def test_single_worker_sum_is_batch_times_mean(self):
         x, y = random_batch(0, n=8)
-        workers = ready_workers(SMALL_SPECS, 7, x, y, 1)
-        _, _, grads = cluster.local_gradients(workers)
+        grads = local_grads(SMALL_SPECS, 7, x, y, 1)
 
         ref = nn.init_network(SMALL_SPECS, 7)
         nn.loss_and_grad(ref, x, y)
@@ -70,45 +59,38 @@ class TestLocalGradients:
         x1, y1 = random_batch(1, n=1)
         x = np.repeat(x1, 4, axis=0)
         y = np.repeat(y1, 4)
-        workers = ready_workers(NOBN_SPECS, 3, x, y, 1)
-        _, _, grads = cluster.local_gradients(workers)
-        single = ready_workers(NOBN_SPECS, 3, x1, y1, 1)
-        _, _, g1 = cluster.local_gradients(single)
+        grads = local_grads(NOBN_SPECS, 3, x, y, 1)
+        g1 = local_grads(NOBN_SPECS, 3, x1, y1, 1)
         assert np.array_equal(grads[0], 4 * g1[0])
 
     def test_identical_slices_give_bitwise_identical_gradients(self):
         x1, y1 = random_batch(2, n=4)
         x = np.concatenate([x1, x1])
         y = np.concatenate([y1, y1])
-        workers = ready_workers(SMALL_SPECS, 5, x, y, 2)
-        _, _, grads = cluster.local_gradients(workers)
+        grads = local_grads(SMALL_SPECS, 5, x, y, 2)
         assert np.array_equal(grads[0], grads[1])
 
     @pytest.mark.parametrize("B, P", [(24, 2), (48, 3), (12, 4)])
     def test_each_worker_gradient_is_its_own_slice(self, B, P):
-        # without batch norm no term couples the slices, so every worker's
-        # gradients are exactly those of its slice run alone
+        # without batch norm no term couples the slices, so worker j's
+        # gradients are exactly those of rows [j*B/P, (j+1)*B/P) run alone
         x, y = random_batch(10, n=B)
-        workers = ready_workers(NOBN_SPECS, 6, x, y, P)
-        _, _, grads = cluster.local_gradients(workers)
-        assert grads.shape == (P, workers[0].net.params.grad.size)
-        for w, g in zip(workers, grads):
-            _, _, (alone,) = nn.forward_backward_shards(w.net, [w.batch_x], [w.batch_y])
+        grads = local_grads(NOBN_SPECS, 6, x, y, P)
+        m = B // P
+        assert grads.shape == (P, nn.init_network(NOBN_SPECS, 6).params.grad.size)
+        for j, g in enumerate(grads):
+            (alone,) = local_grads(NOBN_SPECS, 6, x[j * m:(j + 1) * m], y[j * m:(j + 1) * m], 1)
             assert g.tobytes() == alone.tobytes()
-
-    def test_unequal_shards_rejected(self):
-        x, y = random_batch(11, n=8)
-        net = nn.init_network(NOBN_SPECS, 6)
-        with pytest.raises(PartitionError, match=r"\[3, 5\]"):
-            nn.forward_backward_shards(net, [x[:3], x[3:]], [y[:3], y[3:]])
 
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)
         workers = ready_workers(SMALL_SPECS, 5, x, y, 2)
         workers[1].net = nn.init_network(SMALL_SPECS, 5)
         workers[1].net.params["dense0.weight"].param[0, 0] += 1.0
+        hp = optim.HyperParams(base_lr=0.1, epochs=1, batch_size=8)
+        st_ = optim.ScheduleState(max_iterations=1, iterations_per_epoch=1)
         with pytest.raises(ConsistencyError):
-            cluster.local_gradients(workers)
+            cluster.global_step(cluster.ClusterRun(2, 8), workers, hp, st_)
 
 
 class TestAllReduce:
@@ -123,12 +105,8 @@ class TestAllReduce:
 
     def test_worker_partials_reduce_to_single_pass_sum(self):
         x, y = random_batch(4, n=16)
-        multi = ready_workers(SMALL_SPECS, 9, x, y, 4)
-        _, _, grads = cluster.local_gradients(multi)
-        reduced = cluster.all_reduce(grads)
-
-        single = ready_workers(SMALL_SPECS, 9, x, y, 1)
-        _, _, full = cluster.local_gradients(single)
+        reduced = cluster.all_reduce(local_grads(SMALL_SPECS, 9, x, y, 4))
+        full = local_grads(SMALL_SPECS, 9, x, y, 1)
         assert np.array_equal(reduced, full[0])
 
 
@@ -235,8 +213,7 @@ class TestLeafBlocks:
         x, y = spirals.train_x[:512], spirals.train_y[:512]
         reduced = {}
         for P in (1, 64):
-            _, _, grads = cluster.local_gradients(ready_workers(MLP_SPECS, 2, x, y, P))
-            reduced[P] = cluster.all_reduce(grads)
+            reduced[P] = cluster.all_reduce(local_grads(MLP_SPECS, 2, x, y, P))
         assert np.all(np.isfinite(reduced[64]))
         scale = np.abs(reduced[1]).max()
         assert np.abs(reduced[64] - reduced[1]).max() <= 1e-12 * scale
@@ -280,7 +257,7 @@ class TestWorkspace:
             assert loss == lars_step(fresh, P, x[rows], y[rows])
             assert net.params.grad.tobytes() == fresh.params.grad.tobytes()
             assert net.checksum() == fresh.checksum()
-        assert len({key[1] for key in net.workspace if key[0] == "input"}) == 2
+        assert len({key[1] for key in net.workspace if key[0] == ("dense", 0)}) == 2
 
     @pytest.mark.parametrize("B, P", [(256, 16), (512, 1)])
     def test_a_warm_step_allocates_no_batch_sized_array(self, spirals, B, P):

@@ -325,6 +325,19 @@ class TestCli:
         assert code == runner.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch_size, workers, message", [
+        (10, 4, "global batch 10 not divisible by 4 workers"),
+        (1, 1, "training-mode statistics need a batch of >= 2"),
+    ], ids=["indivisible-batch", "batchnorm-batch-of-one"])
+    def test_unrunnable_batch_exit_code(self, tmp_path, capsys, batch_size, workers, message):
+        path = tmp_path / "batch.cfg"
+        config.write_config(spirals_cfg(tmp_path, batch_size=batch_size, workers=workers), path)
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
+        assert code == runner.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     @pytest.mark.parametrize("edit", [
         ("network = mellanox_fdr", "network = mellanox_fbr"),
         ("gamma = 9e-14", "gamma = -1"),

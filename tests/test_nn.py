@@ -9,7 +9,7 @@ from batchlab.errors import (
     DegenerateBatchError,
     NumericOverflowError,
 )
-from conftest import SMALL_SPECS, gradient_errors, random_batch
+from conftest import MLP_SPECS, SMALL_SPECS, gradient_errors, random_batch
 
 
 class TestInit:
@@ -148,20 +148,20 @@ class TestBackward:
 
     def test_duplicated_batch_leaves_mean_gradient_unchanged(self, small_net):
         x, y = random_batch(3, n=8)
-        loss1 = nn.loss_and_grad(small_net, x, y, update_running=False)
+        loss1 = nn.loss_and_grad(small_net, x, y)
         g1 = {g.name: g.grad.copy() for g in small_net.params}
         xx, yy = np.concatenate([x, x]), np.concatenate([y, y])
-        loss2 = nn.loss_and_grad(small_net, xx, yy, update_running=False)
+        loss2 = nn.loss_and_grad(small_net, xx, yy)
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for g in small_net.params:
             assert g.grad == pytest.approx(g1[g.name], rel=1e-12, abs=1e-15)
 
     def test_permuted_batch_equal_within_tolerance(self, small_net):
         x, y = random_batch(4, n=8)
-        loss1 = nn.loss_and_grad(small_net, x, y, update_running=False)
+        loss1 = nn.loss_and_grad(small_net, x, y)
         g1 = {g.name: g.grad.copy() for g in small_net.params}
         perm = np.random.default_rng(0).permutation(8)
-        loss2 = nn.loss_and_grad(small_net, x[perm], y[perm], update_running=False)
+        loss2 = nn.loss_and_grad(small_net, x[perm], y[perm])
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for g in small_net.params:
             assert g.grad == pytest.approx(g1[g.name], rel=1e-12, abs=1e-15)
@@ -192,7 +192,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((64, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        _, correct, _ = nn.forward_backward_shards(net, [x], [np.zeros(64, dtype=int)])
+        _, correct, _ = nn.forward_backward_shards(net, x, np.zeros(64, dtype=np.int64), 1)
         # recompute the bn output directly through the eval-path arithmetic
         mean = x.mean(axis=0)
         var = (x * x).mean(axis=0) - mean * mean
@@ -232,6 +232,18 @@ class TestBatchNorm:
         nn.loss_and_grad(net, x, y)
         after = net.bn_state[1]["mean"]
         assert not np.array_equal(before, after)
+
+    def test_training_never_reads_running_stats(self):
+        # training normalizes with batch statistics, so poisoned running
+        # statistics must leave the loss and the gradient untouched
+        x, y = random_batch(9, n=32)
+        poisoned, fresh = nn.init_network(MLP_SPECS, 6), nn.init_network(MLP_SPECS, 6)
+        for st in poisoned.bn_state.values():
+            st["mean"][:] = np.nan
+            st["var"][:] = np.nan
+        loss = nn.loss_and_grad(poisoned, x, y)
+        assert loss == nn.loss_and_grad(fresh, x, y)
+        assert poisoned.params.grad.tobytes() == fresh.params.grad.tobytes()
 
 
 class TestEval:
