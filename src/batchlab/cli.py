@@ -18,11 +18,11 @@ def _build_parser():
 
     t = sub.add_parser("train", help="run one experiment from a config file")
     t.add_argument("config")
-    t.add_argument("--output-root", default=None)
+    t.add_argument("--output-root", default=".")
 
     s = sub.add_parser("sweep", help="run every config in a directory")
     s.add_argument("config_dir")
-    s.add_argument("--output-root", default=None)
+    s.add_argument("--output-root", default=".")
 
     c = sub.add_parser("cost", help="print the analytical cost report")
     c.add_argument("--model", required=True, choices=costmodel.model_preset_names())

@@ -143,8 +143,11 @@ def global_step(run, workers, hp, st):
 def train(run, specs, dataset, hp):
     """Fixed-epoch-budget synchronous training; returns a TrainingLog.
 
-    Runs floor(E*n/B) iterations with floor(n/B) iterations per epoch and a
-    deterministic per-epoch shuffle derived from (run.seed, epoch).  A
+    Runs floor(E*n/B) iterations, floor(n/B) per epoch: iteration i is step
+    i mod floor(n/B) of epoch i div floor(n/B), and each epoch draws a
+    deterministic shuffle from (run.seed, epoch).  The test set is evaluated
+    before the first step and after the last step of each epoch and of the
+    run, into that step's `test_acc` (nan for an empty test split).  A
     non-finite forward, loss or update ends the run with a divergence record
     instead of raising; an evaluation that overflows after k steps records
     `diverged@<k> layer <i>`.
@@ -155,6 +158,7 @@ def train(run, specs, dataset, hp):
         )
     net = nn.init_network(specs, run.seed)
     train_x, train_y = nn.check_batch(net, dataset.train_x, dataset.train_y)
+    test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
     n = len(train_x)
     b = hp.batch_size
     ipe = n // b
@@ -165,42 +169,36 @@ def train(run, specs, dataset, hp):
     workers = make_workers(net, run.workers)
     log = TrainingLog()
 
-    has_test = len(dataset.test_x) > 0
-    if has_test:
-        test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
+    def evaluate():
+        return nn.accuracy(net, test_x, test_y) if len(test_x) else float("nan")
 
-    epoch = 0
     try:
-        test_acc = nn.accuracy(net, test_x, test_y) if has_test else float("nan")
+        test_acc = evaluate()
         while st.iteration < st.max_iterations:
-            perm = np.random.default_rng((run.seed, epoch)).permutation(n)
-            for k in range(ipe):
-                if st.iteration >= st.max_iterations:
-                    break
-                idx = perm[k * b:(k + 1) * b]
-                assign_batch(workers, train_x[idx], train_y[idx])
-                t0 = time.perf_counter()
-                loss, correct, lr, lambdas = global_step(run, workers, hp, st)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                lams = sorted(lambdas.values())
-                log.rows.append(LogRow(
-                    epoch=epoch,
-                    iteration=st.iteration - 1,
-                    lr=lr,
-                    loss=loss,
-                    train_acc=correct / b,
-                    test_acc=test_acc,
-                    lambda_min=lams[0],
-                    lambda_med=lams[len(lams) // 2],
-                    lambda_max=lams[-1],
-                    wall_ms=wall_ms,
-                ))
-                log.lambda_history.append(dict(lambdas))
-            if has_test:
-                test_acc = nn.accuracy(net, test_x, test_y)
-                if log.rows:
-                    log.rows[-1].test_acc = test_acc
-            epoch += 1
+            epoch, k = divmod(st.iteration, ipe)
+            if k == 0:
+                perm = np.random.default_rng((run.seed, epoch)).permutation(n)
+            idx = perm[k * b:(k + 1) * b]
+            assign_batch(workers, train_x[idx], train_y[idx])
+            t0 = time.perf_counter()
+            loss, correct, lr, lambdas = global_step(run, workers, hp, st)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            lams = sorted(lambdas.values())
+            log.rows.append(LogRow(
+                epoch=epoch,
+                iteration=st.iteration - 1,
+                lr=lr,
+                loss=loss,
+                train_acc=correct / b,
+                test_acc=test_acc,
+                lambda_min=lams[0],
+                lambda_med=lams[len(lams) // 2],
+                lambda_max=lams[-1],
+                wall_ms=wall_ms,
+            ))
+            log.lambda_history.append(lambdas)
+            if k == ipe - 1 or st.iteration == st.max_iterations:
+                test_acc = log.rows[-1].test_acc = evaluate()
     except NumericOverflowError as exc:
         log.status = f"diverged@{st.iteration} layer {exc.layer_index}"
     except DivergenceError as exc:

@@ -8,6 +8,7 @@ parse_config(write_config(cfg)) returns an equal ExperimentConfig.
 """
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -35,6 +36,10 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; have {sorted(DATASET_KEYS)}")
+        if self.seed < 0:
+            raise ConfigError(f"need dataset seed >= 0, got {self.seed}")
+        if self.noise is not None and not 0 <= self.noise < math.inf:
+            raise ConfigError(f"need a finite dataset noise >= 0, got {self.noise!r}")
 
 
 @dataclass
@@ -43,7 +48,7 @@ class CostConfig:
     gamma: float = costmodel.P100_GAMMA
 
     def __post_init__(self):
-        # raises ConfigError for an unknown preset or gamma <= 0
+        # raises ConfigError for an unknown preset or a gamma that is not finite and > 0
         costmodel.cluster_preset(self.network, gamma=self.gamma)
 
 
@@ -56,6 +61,10 @@ class ExperimentConfig:
     dataset: DatasetConfig
     output_dir: str
     cost: CostConfig = field(default_factory=CostConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"need cluster seed >= 0, got {self.seed}")
 
 
 # Every settable (section, key) in header order, with the ExperimentConfig

@@ -35,7 +35,7 @@ class ClusterSpec:
             raise ConfigError("need at least one worker")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("need alpha, beta >= 0")
-        if not self.gamma > 0:
+        if not 0 < self.gamma < math.inf:
             raise ConfigError(f"need gamma > 0 seconds per flop, got {self.gamma!r}")
 
 

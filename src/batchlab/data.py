@@ -113,7 +113,7 @@ def load_idx_images(path):
     return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
-def load_idx_labels(path, num_classes=None):
+def load_idx_labels(path, num_classes):
     with open(path, "rb") as fh:
         data = fh.read()
     magic, count = struct.unpack(">ii", _read_exact(data, 0, 8, path))
@@ -123,7 +123,7 @@ def load_idx_labels(path, num_classes=None):
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
     labels = np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
-    if num_classes is not None and len(labels) and labels.max() >= num_classes:
+    if len(labels) and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
         raise FormatError(
             f"{path}: label {labels[bad]} >= num_classes {num_classes} at record {bad}"

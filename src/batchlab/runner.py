@@ -1,22 +1,17 @@
 """Experiment orchestration: run, sweep, and table emission.
 
-All outputs are UTF-8 CSV files with LF line endings.  Every emitted file
-starts with '# section.key = value' comment lines echoing the fully resolved
+All outputs are UTF-8 CSV files with LF line endings, written under an
+output root (default: the working directory).  Every emitted file starts
+with '# section.key = value' comment lines echoing the fully resolved
 configuration, so any row is reproducible from its own header.
 """
 
 import csv
-import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import cluster, config, costmodel, data, nn, optim
+from . import cluster, config, costmodel, data, nn
 from .errors import ConfigError
-
-OUTPUT_ROOT_ENV = "BATCHLAB_OUTPUT_ROOT"
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -32,29 +27,24 @@ class ExperimentResult:
     out_dir: Path
 
 
-def resolve_output_dir(cfg, output_root=None):
-    root = output_root or os.environ.get(OUTPUT_ROOT_ENV, ".")
-    return Path(root) / cfg.output_dir
-
-
 def build_dataset(ds):
     if ds.kind != "idx-file":
         return data.gen_synthetic(ds.kind, ds.n, ds.num_classes, ds.input_dim, ds.seed, ds.noise)
     if not ds.images or not ds.labels:
         raise ConfigError("idx-file dataset needs images= and labels= paths")
-    for p in (ds.images, ds.labels):
-        if not Path(p).exists():
-            raise ConfigError(f"dataset file does not exist: {p}")
-    return data.load_idx(ds.images, ds.labels, ds.num_classes, ds.seed)
+    try:
+        return data.load_idx(ds.images, ds.labels, ds.num_classes, ds.seed)
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigError(f"cannot read dataset file {exc.filename}: {exc.strerror}") from exc
 
 
-def network_profile(specs, name="experiment"):
+def network_profile(specs):
     """Analytical profile read off the network's ParamSet: flops per example are
     6 per dense weight (2 forward, ~4 backward) plus 10 per batch-norm channel."""
     params = nn.init_network(specs, 0).params
     flops = sum({nn.WEIGHT: 6, nn.NORM_SCALE: 10}.get(g.category, 0) * g.param.size
                 for g in params)
-    return costmodel.ModelProfile(name, params.param.size, float(flops))
+    return costmodel.ModelProfile("experiment", params.param.size, float(flops))
 
 
 def cost_report(cfg, n_train):
@@ -102,14 +92,16 @@ def _config_meta(cfg, extra=()):
     return meta + list(extra)
 
 
-def run_experiment(cfg, output_root=None):
-    """Train per the config, attach the analytical cost report, emit files."""
+def run_experiment(cfg, output_root="."):
+    """Train per the config, attach the analytical cost report, and write
+    log.csv, lambdas.csv (when a step ran) and cost.csv to
+    `output_root`/`cfg.output_dir`."""
     dataset = build_dataset(cfg.dataset)
     run = cluster.ClusterRun(cfg.workers, cfg.hyper.batch_size, cfg.seed)
     log = cluster.train(run, cfg.layers, dataset, cfg.hyper)
     report = cost_report(cfg, dataset.n_train)
 
-    out_dir = resolve_output_dir(cfg, output_root)
+    out_dir = Path(output_root) / cfg.output_dir
     meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train),
                               ("run.bitwise_invariant", str(run.bitwise_invariant).lower()),
                               ("run.leaf_block", nn.leaf_block(run.global_batch))])
@@ -137,8 +129,8 @@ def run_experiment(cfg, output_root=None):
     return ExperimentResult(cfg, log, report, out_dir)
 
 
-def sweep(config_dir, output_root=None):
-    """Run every config in a directory and emit a comparison CSV."""
+def sweep(config_dir, output_root="."):
+    """Run every config in a directory and emit `output_root`/sweep.csv."""
     paths = sorted(Path(config_dir).glob("*.cfg")) + sorted(Path(config_dir).glob("*.ini"))
     if not paths:
         raise ConfigError(f"no .cfg/.ini configs in {config_dir}")
@@ -151,7 +143,7 @@ def sweep(config_dir, output_root=None):
             raise ConfigError(f"{p}: sweep configs must share the epoch budget")
 
     results = [run_experiment(c, output_root) for c in cfgs]
-    root = Path(output_root or os.environ.get(OUTPUT_ROOT_ENV, "."))
+    root = Path(output_root)
     rows = []
     for p, res in zip(paths, results):
         final = res.log.rows[-1] if res.log.rows else None
@@ -188,12 +180,13 @@ TABLE2_DATASET = costmodel.IMAGENET_TRAIN_SIZE
 TABLE2_LOCAL_BATCH = 512
 
 
-def table2_rows(profile=None, network="mellanox_fdr", gamma=costmodel.P100_GAMMA):
-    profile = profile or costmodel.model_preset("resnet50")
+def table2_rows():
+    """ResNet-50 on Mellanox FDR at P100 speed, 512 examples per worker."""
+    profile = costmodel.model_preset("resnet50")
     rows = []
     for b in TABLE2_BATCHES:
         workers = b // TABLE2_LOCAL_BATCH
-        spec = costmodel.cluster_preset(network, workers=workers, gamma=gamma)
+        spec = costmodel.cluster_preset("mellanox_fdr", workers=workers)
         report = costmodel.total_time(profile, spec, TABLE2_EPOCHS, TABLE2_DATASET, b)
         expr = "t_comp" if workers == 1 else f"t_comp + log({workers})*t_comm"
         rows.append({
@@ -231,20 +224,12 @@ def table10_rows():
     return rows
 
 
-_ENERGY_KIND = {
-    "32 bit int add": "computation",
-    "32 bit float add": "computation",
-    "32 bit register access": "communication",
-    "32 bit int multiply": "computation",
-    "32 bit float multiply": "computation",
-    "32 bit SRAM access": "communication",
-    "32 bit DRAM access": "communication",
-}
-
-
 def table11_rows():
+    """Energy per operation; memory accesses are communication, arithmetic computation."""
     return [
-        {"operation": op, "type": _ENERGY_KIND[op], "energy_pj": repr(pj)}
+        {"operation": op,
+         "type": "communication" if op.endswith("access") else "computation",
+         "energy_pj": repr(pj)}
         for op, pj in costmodel.energy_table().items()
     ]
 

@@ -305,6 +305,36 @@ class TestTrain:
         log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
         assert len(log.rows) == costmodel.iterations(3, 300, 32) == 28
 
+    def test_epochs_and_evaluations_follow_the_schedule(self, monkeypatch):
+        # 300 examples at B=32: 9 steps per epoch, 28 steps in 3 epochs
+        steps, evaluated_after = [], []
+        step, accuracy = cluster.global_step, nn.accuracy
+
+        def counted_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        def counted_accuracy(*args):
+            evaluated_after.append(len(steps))
+            return accuracy(*args)
+
+        monkeypatch.setattr(cluster, "global_step", counted_step)
+        monkeypatch.setattr(nn, "accuracy", counted_accuracy)
+        ds = make_dataset(300, seed=3)
+        hp = optim.HyperParams(base_lr=0.05, epochs=3, batch_size=32)
+        log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+        assert [r.epoch for r in log.rows] == [0] * 9 + [1] * 9 + [2] * 9 + [3]
+        assert evaluated_after == [0, 9, 18, 27, 28]
+
+    def test_empty_test_split_reads_nan(self, monkeypatch):
+        monkeypatch.setattr(nn, "accuracy", lambda *a: pytest.fail("evaluated an empty split"))
+        ds = make_dataset(300, seed=3)
+        ds.test_x, ds.test_y = ds.test_x[:0], ds.test_y[:0]
+        hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=32)
+        log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+        assert len(log.rows) == 18 and log.status == "completed"
+        assert all(np.isnan(r.test_acc) for r in log.rows)
+
     def test_divergent_run_preserves_partial_log(self):
         ds = make_dataset(256, seed=4)
         hp = optim.HyperParams(base_lr=1e6, epochs=4, batch_size=64, weight_decay=0.0)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from batchlab import costmodel
+from batchlab import costmodel, reduction
 from batchlab.errors import ConfigError
 
 
@@ -88,6 +88,15 @@ class TestIterationTime:
         rep = costmodel.total_time(resnet50(), spec, 100, 1_280_000, 1536)
         assert rep.messages == 2 * rep.iterations
         assert rep.t_iter == t_iter
+
+    @pytest.mark.parametrize("P", range(1, 34))
+    def test_stages_are_the_simulated_tree_depth(self, P):
+        # the depth of the pairwise tree the all-reduce runs over P rows,
+        # counted as the traced benchmark counts it
+        depth = reduction.tree_reduce([0] * P, lambda a, b: max(a, b) + 1)
+        spec = costmodel.cluster_preset("mellanox_fdr", workers=P)
+        rep = costmodel.total_time(resnet50(), spec, 1, 1_280_000, 64 * P)
+        assert rep.messages == depth * rep.iterations
 
     def test_compute_time_from_published_constants(self):
         t_comp, _, _ = costmodel.iteration_time(resnet50(), self._spec(1), 512)

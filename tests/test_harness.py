@@ -156,7 +156,13 @@ class TestConfigFormat:
         (("gamma = 9e-14", "gamma = -1"), "gamma > 0"),
         (("lars_skip = bias,norm-scale,norm-shift", "lars_skip = bias,norm-scale,norm-shfit"),
          "['norm-shfit']"),
-    ], ids=["stray-images", "stray-n", "kind", "cost-network", "cost-gamma", "lars-skip"])
+        (("workers = 1\nseed = 3\n", "workers = 1\nseed = -1\n"), "need cluster seed >= 0, got -1"),
+        (("seed = 1\n", "seed = -5\n"), "need dataset seed >= 0, got -5"),
+        (("gamma = 9e-14", "gamma = inf"), "need gamma > 0 seconds per flop, got inf"),
+        (("seed = 1\n", "seed = 1\nnoise = nan\n"), "need a finite dataset noise >= 0, got nan"),
+        (("seed = 1\n", "seed = 1\nnoise = -0.2\n"), "need a finite dataset noise >= 0, got -0.2"),
+    ], ids=["stray-images", "stray-n", "kind", "cost-network", "cost-gamma", "lars-skip",
+            "cluster-seed", "dataset-seed", "gamma-inf", "noise-nan", "noise-negative"])
     def test_ignored_or_invalid_value_is_config_error(self, tmp_path, edit, message):
         text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
         assert edit[0] in text
@@ -312,6 +318,23 @@ class TestCli:
         config.write_config(cfg, path)
         assert cli.main(["train", str(path), "--output-root", str(tmp_path)]) == runner.EXIT_FORMAT
 
+    @pytest.mark.parametrize("images", ["a-directory", "missing.idx"])
+    def test_unreadable_dataset_file_exit_code(self, tmp_path, capsys, images):
+        (tmp_path / "a-directory").mkdir()
+        lab = tmp_path / "lab.idx"
+        lab.write_bytes(struct.pack(">ii", data.IDX_LABELS_MAGIC, 1) + bytes(1))
+        cfg = spirals_cfg(tmp_path)
+        cfg.dataset = config.DatasetConfig(kind="idx-file", num_classes=3,
+                                           images=str(tmp_path / images), labels=str(lab))
+        path = tmp_path / "idx.cfg"
+        config.write_config(cfg, path)
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
+        assert code == runner.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read dataset file ")
+        assert str(tmp_path / images) in err
+
     @pytest.mark.parametrize("dataset, message", [
         (dict(num_classes=4), "labels span [0, 3] but the network has 3 classes"),
         (dict(kind="synthetic-blobs", input_dim=3), "incompatible with input width 2"),
@@ -343,7 +366,13 @@ class TestCli:
         ("gamma = 9e-14", "gamma = -1"),
         ("lars_skip = bias,norm-scale,norm-shift", "lars_skip = bias,norm-scale,norm-shfit"),
         ("seed = 1\n", "seed = 1\nimages = /nonexistent\n"),
-    ], ids=["cost-network", "cost-gamma", "lars-skip", "stray-key"])
+        ("workers = 1\nseed = 3\n", "workers = 1\nseed = -1\n"),
+        ("seed = 1\n", "seed = -5\n"),
+        ("gamma = 9e-14", "gamma = inf"),
+        ("seed = 1\n", "seed = 1\nnoise = nan\n"),
+        ("seed = 1\n", "seed = 1\nnoise = -0.2\n"),
+    ], ids=["cost-network", "cost-gamma", "lars-skip", "stray-key", "cluster-seed",
+            "dataset-seed", "gamma-inf", "noise-nan", "noise-negative"])
     def test_rejected_config_writes_no_output(self, tmp_path, monkeypatch, edit):
         monkeypatch.setattr(runner, "run_experiment", lambda *a: pytest.fail("config accepted"))
         path = tmp_path / "bad.cfg"
