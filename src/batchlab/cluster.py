@@ -38,6 +38,8 @@ class ClusterRun:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("need at least one worker")
+        if self.seed < 0:
+            raise ConfigError(f"need cluster seed >= 0, got {self.seed}")
         if self.global_batch < 1 or self.global_batch % self.workers != 0:
             raise PartitionError(
                 f"global batch {self.global_batch} not divisible by {self.workers} workers"

@@ -4,14 +4,18 @@ Layers: dense, batchnorm, relu, and a terminal softmax cross-entropy loss.
 Everything is float64.  One array carries the whole batch through the
 layers.  Dense products are BLAS GEMMs over fixed blocks of
 :func:`leaf_block` rows, a shape set by the global batch size alone.  A
-P-worker split, in which worker j owns rows [j*B/P, (j+1)*B/P) of that one
-array, only orders the batch sums: a pairwise tree (from
+P-worker split, in which worker j owns rows [j*B/P, (j+1)*B/P) of the
+batch, only orders the batch sums: a pairwise tree (from
 :mod:`batchlab.reduction`) within each worker's slice, then the same tree
 over the P partials.  For power-of-two slices that the block size divides,
 that is the single-worker tree, so both runs perform bit-identical arithmetic
 (batch-norm statistics are computed over the *global* batch, sync-BN style).
+A training step carries the batch in tree order (:func:`_tree_layout`), a
+row permutation under which each level of those trees adds contiguous rows;
+it changes which rows are stored where, not which rows are added.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from .errors import (
     NumericOverflowError,
     PartitionError,
 )
-from .reduction import tree_reduce, tree_sum
+from .reduction import halving_tree_sum, tree_order, tree_reduce, tree_sum
 
 DENSE = "dense"
 BATCHNORM = "batchnorm"
@@ -229,7 +233,8 @@ def _forward(net, a, blocks, alloc, shard_sums=None):
     take new arrays for their outputs: batch norm writes its output over its
     input and relu multiplies in place, so the input `a` is never written,
     the first layer being dense.  With `shard_sums` (training), batch norm uses
-    the batch statistics reduced over the shard trees, folds them into the
+    the batch statistics reduced over the shard trees (`shard_sums(v)` sums
+    v in place into its (P, ...) per-shard sums), folds them into the
     running statistics `net.bn_state`, and `records[i]` holds what the backward
     needs of layer i; without it (evaluation), batch norm reads `net.bn_state`
     and nothing is recorded.
@@ -259,9 +264,12 @@ def _forward(net, a, blocks, alloc, shard_sums=None):
                     raise DegenerateBatchError(
                         f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
                     )
-                mean = tree_reduce(list(shard_sums(a))) / n
-                sq_sums = shard_sums(np.multiply(a, a, out=xhat), in_place=True)
-                var = np.maximum(tree_reduce(list(sq_sums)) / n - mean * mean, 0.0)
+                # one tree over the stacked [a, a*a]
+                stats = alloc("bnsums", (n, 2, a.shape[1]))
+                stats[:, 0] = a
+                np.multiply(a, a, out=stats[:, 1])
+                mean, sq_mean = tree_reduce(list(shard_sums(stats))) / n
+                var = np.maximum(sq_mean - mean * mean, 0.0)
             else:
                 mean, var = st["mean"], st["var"]
             inv = 1.0 / np.sqrt(var + s.eps)
@@ -278,6 +286,25 @@ def _forward(net, a, blocks, alloc, shard_sums=None):
     return a, records
 
 
+@functools.cache
+def _tree_layout(n, shards):
+    """(c, perm) for a batch of `n` rows in `shards` shards of m rows.
+
+    c = gcd(leaf_block(n), m) is the GEMM block.  Row (q, t, j) of the
+    (c, m/c, shards) layout is batch row j*m + tree_order(m/c)[t]*c + q: row q
+    of shard j's block tree_order(m/c)[t].  Cached per (n, shards); the
+    int permutation stays out of `net.workspace`, which holds a step's float
+    and bool arrays.
+    """
+    m = n // shards
+    c = math.gcd(leaf_block(n), m)
+    perm = (np.arange(shards) * m
+            + tree_order(m // c)[:, None] * c
+            + np.arange(c)[:, None, None]).reshape(-1)
+    perm.flags.writeable = False
+    return c, perm
+
+
 def forward_backward_shards(net, x, y, shards):
     """Run one synchronous forward+backward of `net` over the batch `x`, `y`
     split into `shards` equal shards: shard j is rows [j*B/P, (j+1)*B/P).
@@ -285,15 +312,24 @@ def forward_backward_shards(net, x, y, shards):
     `x` and `y` are float64 / int64 arrays as :func:`check_batch` returns
     them; `x` is read, never written.  Every layer runs once over the batch,
     writing every batch-sized array into `net.workspace`.
-    Every dense product is one BLAS GEMM per block of c = gcd(leaf_block(B),
-    B/P) consecutive rows, and the weight gradient's block partials
-    x_blk.T @ d_blk are a batch sum like any other.  Every batch sum is a
-    canonical tree within each shard, and the per-shard partials combine with
-    the same tree; for power-of-two shard sizes that leaf_block(B) divides,
-    the blocks and trees are those of the whole batch, so results are
-    independent of the shard layout.  Batch-norm statistics and their
-    backward coupling terms are reduced over the global batch this way
-    (sync-BN), and the running statistics are updated once per layer.  A
+
+    The batch is first gathered into tree order (:func:`_tree_layout`): c
+    slabs of B/c rows, where slab q holds row q of every GEMM block of c =
+    gcd(leaf_block(B), B/P) consecutive batch rows, and within a slab the
+    blocks of each shard follow `reduction.tree_order`, shard-minor.  A block
+    is a strided view of the c slabs, so every dense product is still one
+    BLAS GEMM per block of c consecutive rows, in their natural order.  Every
+    batch sum is then the canonical pairwise tree within each shard, taken in
+    two steps over contiguous rows: `tree_sum` over the c slabs (the tree
+    within each block), then `halving_tree_sum` over each shard's blocks.  A
+    dense layer's weight-gradient block partials x_blk.T @ d_blk carry its
+    bias-gradient block sums as one extra row, and batch norm stacks the two
+    vectors it sums, so each layer makes one tree.  The per-shard partials
+    combine with the same tree; for power-of-two shard sizes that
+    leaf_block(B) divides, the blocks and trees are those of the whole batch,
+    so results are independent of the shard layout.  Batch-norm statistics
+    and their backward coupling terms are reduced over the global batch this
+    way (sync-BN), and the running statistics are updated once per layer.  A
     batch that `shards` does not divide is a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
@@ -306,19 +342,22 @@ def forward_backward_shards(net, x, y, shards):
     if shards < 1 or n % shards:
         raise PartitionError(f"batch of {n} not divisible into {shards} shards")
     m = n // shards
-    c = math.gcd(leaf_block(n), m)
+    c, perm = _tree_layout(n, shards)
     buf = net.buffer
 
     def blocks(v):
-        return v.reshape(n // c, c, *v.shape[1:])
+        return v.reshape(c, n // c, *v.shape[1:]).swapaxes(0, 1)
 
-    def shard_sums(v, in_place=False):
-        # one tree_sum over the (rows per shard, P, ...) view builds all P per-shard
-        # trees; the result is a view of a workspace array, or of v when in place
-        v = v.reshape(shards, -1, *v.shape[1:]).swapaxes(0, 1)
-        scratch = v if in_place else buf("sums", ((m + 1) // 2, *v.shape[1:]))
-        return tree_sum(v, scratch)
+    def shard_sums(v):
+        # in place: the tree within each block over the c slabs, then the tree
+        # over each shard's blocks; a (P, ...) view of v
+        slabs = v.reshape(c, n // c, *v.shape[1:])
+        sums = tree_sum(slabs, slabs).reshape(m // c, shards, *v.shape[1:])
+        return halving_tree_sum(sums, sums)
 
+    y = y[perm]
+    # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
+    x = np.take(x, perm, axis=0, out=buf("input", x.shape), mode="clip")
     a, records = _forward(net, x, blocks, buf, shard_sums)
 
     # terminal softmax cross-entropy, written over the logits
@@ -330,7 +369,7 @@ def forward_backward_shards(net, x, y, shards):
     with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
         losses = -np.log(p[idx, y])
     _check_finite(losses, len(net.specs) - 1)
-    loss_sum = float(tree_reduce(list(shard_sums(losses, in_place=True))))
+    loss_sum = float(tree_reduce(list(shard_sums(losses))))
     correct = int(np.count_nonzero(p.argmax(axis=1) == y))
 
     # backward, sum convention; row j of grads is shard j's gradient.  Each
@@ -343,10 +382,19 @@ def forward_backward_shards(net, x, y, shards):
         s, rec = net.specs[i], records[i]
         if s.kind == DENSE:
             w, b = net.layer_groups[i]
-            partials = buf("partials", (n // c, s.in_dim, s.out_dim))
-            np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=partials)
-            grads[:, w.span] = shard_sums(partials, in_place=True).reshape(shards, -1)
-            grads[:, b.span] = shard_sums(d)
+            # rows [0, in_dim) of a block's partial are x_blk.T @ d_blk, row
+            # in_dim is the sum of d_blk; at c == 1 the product is rank one
+            partials = buf("partials", (n // c, s.in_dim + 1, s.out_dim))
+            if c == 1:
+                np.einsum("bi,bj->bij", rec, d, out=partials[:, :s.in_dim])
+            else:
+                np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=partials[:, :s.in_dim])
+            slabs = d.reshape(c, n // c, s.out_dim)
+            partials[:, s.in_dim] = tree_sum(slabs, buf("sums", (c // 2, *slabs.shape[1:])))
+            sums = partials.reshape(m // c, shards, *partials.shape[1:])
+            sums = halving_tree_sum(sums, sums)
+            grads[:, w.span] = sums[:, :s.in_dim].reshape(shards, -1)
+            grads[:, b.span] = sums[:, s.in_dim]
             if i > 0:  # nothing uses the gradient of the network's input
                 np.matmul(blocks(d), w.param.T, out=blocks(rec))
                 d = rec
@@ -355,14 +403,18 @@ def forward_backward_shards(net, x, y, shards):
         elif s.kind == BATCHNORM:
             scale, shift = net.layer_groups[i]
             xhat, inv = rec
-            grads[:, shift.span] = shard_sums(d)
-            dx = np.multiply(d, xhat, out=buf("dxhat", d.shape))
-            grads[:, scale.span] = shard_sums(dx, in_place=True)
-            mean_t1 = tree_reduce(list(grads[:, shift.span])) / n
-            mean_t2 = tree_reduce(list(grads[:, scale.span])) / n
-            # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place
+            # one tree over the stacked [d * xhat, d], laid out like the
+            # adjacent scale and shift spans of the flat gradient
+            stats = buf("bnsums", (n, 2, d.shape[1]))
+            np.multiply(d, xhat, out=stats[:, 0])
+            stats[:, 1] = d
+            sums = shard_sums(stats)
+            grads[:, scale.span.start:shift.span.stop] = sums.reshape(shards, -1)
+            mean_t2, mean_t1 = tree_reduce(list(sums)) / n
+            # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place;
+            # xhat is spent after this
             d -= mean_t1
-            d -= np.multiply(xhat, mean_t2, out=dx)
+            d -= np.multiply(xhat, mean_t2, out=xhat)
             d *= scale.param * inv
     return loss_sum, correct, grads
 
@@ -413,6 +465,27 @@ def predict_logits(net, inputs):
     return _forward(net, np.asarray(inputs, dtype=np.float64), lambda v: v, _fresh)[0]
 
 
+EVAL_ROWS = 64  # test rows per evaluation GEMM
+
+
 def accuracy(net, inputs, labels):
-    logits = predict_logits(net, inputs)
-    return float(np.mean(logits.argmax(axis=1) == np.asarray(labels)))
+    """Fraction of argmax hits, evaluated in blocks of EVAL_ROWS rows.
+
+    Rows are independent in eval mode, so the blocks give the hits of one
+    pass over all rows, while keeping each GEMM small enough to stay on one
+    BLAS thread.  If any row overflows, the NumericOverflowError names the
+    first layer at which one does, whatever block it is in.
+    """
+    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
+    hits, overflows = 0, []
+    for start in range(0, len(inputs), EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        try:
+            logits = predict_logits(net, inputs[rows])
+        except NumericOverflowError as exc:
+            overflows.append(exc)
+            continue
+        hits += np.count_nonzero(logits.argmax(axis=1) == labels[rows])
+    if overflows:
+        raise min(overflows, key=lambda exc: exc.layer_index)
+    return float(np.divide(hits, len(inputs)))  # nan for no rows, like a mean

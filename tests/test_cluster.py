@@ -43,6 +43,10 @@ class TestPartition:
         with pytest.raises(PartitionError):
             cluster.ClusterRun(4, 10)
 
+    def test_cluster_run_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed >= 0, got -1"):
+            cluster.ClusterRun(1, 32, seed=-1)
+
 
 class TestLocalGradients:
     def test_single_worker_sum_is_batch_times_mean(self):
@@ -259,7 +263,7 @@ class TestWorkspace:
             assert net.checksum() == fresh.checksum()
         assert len({key[1] for key in net.workspace if key[0] == ("dense", 0)}) == 2
 
-    @pytest.mark.parametrize("B, P", [(256, 16), (512, 1)])
+    @pytest.mark.parametrize("B, P", [(256, 16), (512, 1), (32, 1)])
     def test_a_warm_step_allocates_no_batch_sized_array(self, spirals, B, P):
         net = nn.init_network(MLP_SPECS, 4)
         x, y = spirals.train_x[:B], spirals.train_y[:B]

@@ -272,3 +272,22 @@ class TestEval:
         logits = nn.predict_logits(net, x)
         np.testing.assert_allclose(logits, self._reference(net, x, False), rtol=1e-12)
         assert not np.allclose(logits, self._reference(net, x, True), rtol=1e-6)
+
+    def test_blocked_accuracy_counts_the_hits_of_one_pass(self):
+        net = self._trained_net()
+        x, y = random_batch(98, n=3 * nn.EVAL_ROWS + 5)
+        hits = np.count_nonzero(nn.predict_logits(net, x).argmax(axis=1) == y)
+        assert nn.accuracy(net, x, y) == hits / len(x)
+
+    def test_overflow_names_the_first_layer_whatever_the_block(self):
+        net = self._trained_net()
+        net.params["dense3.weight"].param[:] *= 1e10
+        x, y = random_batch(97, n=3 * nn.EVAL_ROWS)
+        x[5] = 1e300  # finite through dense0 and batch norm, overflows at dense3
+        x[2 * nn.EVAL_ROWS + 1, 0] = np.inf  # overflows at dense0, in a later block
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericOverflowError) as whole:
+                nn.predict_logits(net, x)
+            with pytest.raises(NumericOverflowError) as blocked:
+                nn.accuracy(net, x, y)
+        assert blocked.value.layer_index == whole.value.layer_index == 0

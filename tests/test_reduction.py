@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from batchlab.reduction import tree_reduce, tree_sum
+from batchlab.reduction import halving_tree_sum, tree_order, tree_reduce, tree_sum
 
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, width=64)
 
@@ -46,3 +46,16 @@ def test_scratch_and_in_place_trees_match_the_pairwise_tree(values):
     assert tree_sum(values, scratch).tobytes() == expected
     consumed = values.copy()
     assert tree_sum(consumed, consumed).tobytes() == expected
+
+
+@given(summands())
+def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
+    # The engine lays every batch sum out in tree_order and adds contiguous
+    # halves; the pairs, and so the bits, must be tree_sum's over the rows in
+    # natural order, with a scratch array or in place.
+    expected = tree_sum(values).tobytes()
+    ordered = values[tree_order(len(values))]
+    assert halving_tree_sum(ordered).tobytes() == expected
+    scratch = np.full(((len(values) + 1) // 2, *values.shape[1:]), np.nan)
+    assert halving_tree_sum(ordered, scratch).tobytes() == expected
+    assert halving_tree_sum(ordered, ordered).tobytes() == expected
