@@ -5,14 +5,15 @@ Everything is float64.  One array carries the whole batch through the
 layers.  Dense products are BLAS GEMMs over fixed blocks of
 :func:`leaf_block` rows, a shape set by the global batch size alone.  A
 P-worker split, in which worker j owns rows [j*B/P, (j+1)*B/P) of the
-batch, only orders the batch sums: a pairwise tree (from
-:mod:`batchlab.reduction`) within each worker's slice, then the same tree
+batch, only orders the batch sums: the pairwise tree of
+:mod:`batchlab.reduction` within each worker's slice, then the same tree
 over the P partials.  For power-of-two slices that the block size divides,
 that is the single-worker tree, so both runs perform bit-identical arithmetic
 (batch-norm statistics are computed over the *global* batch, sync-BN style).
-A training step carries the batch in tree order (:func:`_tree_layout`), a
-row permutation under which each level of those trees adds contiguous rows;
-it changes which rows are stored where, not which rows are added.
+A training step carries the batch with each worker's rows in
+`reduction.tree_order` (:func:`_tree_layout`), so that every batch sum is
+one `reduction.tree_sum` over contiguous halves; the layout changes which
+rows are stored where, not which rows are added.
 """
 
 import functools
@@ -28,7 +29,7 @@ from .errors import (
     NumericOverflowError,
     PartitionError,
 )
-from .reduction import halving_tree_sum, tree_order, tree_reduce, tree_sum
+from .reduction import tree_order, tree_reduce, tree_sum
 
 DENSE = "dense"
 BATCHNORM = "batchnorm"
@@ -86,6 +87,8 @@ class ParamSet:
     `param`, `grad` and `momentum` each hold every group back to back, in
     construction order; a group's `.param`, `.grad` and `.momentum_buf` are
     shaped views of its span, so writes through either side are shared.
+    `rate` and `step` are flat scratch vectors of the same layout that the
+    optimizer update writes.
     """
 
     def __init__(self, groups):
@@ -97,6 +100,8 @@ class ParamSet:
         self.param = np.concatenate([a.reshape(-1) for _, _, a in groups])
         self.grad = np.zeros_like(self.param)
         self.momentum = np.zeros_like(self.param)
+        self.rate = np.empty_like(self.param)
+        self.step = np.empty_like(self.param)
         self.groups = []
         start = 0
         for name, category, a in groups:
@@ -288,21 +293,19 @@ def _forward(net, a, blocks, alloc, shard_sums=None):
 
 @functools.cache
 def _tree_layout(n, shards):
-    """(c, perm) for a batch of `n` rows in `shards` shards of m rows.
+    """The row permutation that gathers a batch of `n` rows in `shards` shards into tree order.
 
-    c = gcd(leaf_block(n), m) is the GEMM block.  Row (q, t, j) of the
-    (c, m/c, shards) layout is batch row j*m + tree_order(m/c)[t]*c + q: row q
-    of shard j's block tree_order(m/c)[t].  Cached per (n, shards); the
-    int permutation stays out of `net.workspace`, which holds a step's float
-    and bool arrays.
+    With m = n / shards, layout row t*shards + j is batch row
+    j*m + tree_order(m)[t]: each shard's rows in `reduction.tree_order`,
+    shard-minor, so that a (m, shards, ...) view of the layout puts each
+    level of every shard's tree in contiguous rows.  Cached per (n, shards);
+    the int permutation stays out of `net.workspace`, which holds a step's
+    float and bool arrays.
     """
     m = n // shards
-    c = math.gcd(leaf_block(n), m)
-    perm = (np.arange(shards) * m
-            + tree_order(m // c)[:, None] * c
-            + np.arange(c)[:, None, None]).reshape(-1)
+    perm = (np.arange(shards) * m + tree_order(m)[:, None]).reshape(-1)
     perm.flags.writeable = False
-    return c, perm
+    return perm
 
 
 def forward_backward_shards(net, x, y, shards):
@@ -313,24 +316,25 @@ def forward_backward_shards(net, x, y, shards):
     them; `x` is read, never written.  Every layer runs once over the batch,
     writing every batch-sized array into `net.workspace`.
 
-    The batch is first gathered into tree order (:func:`_tree_layout`): c
-    slabs of B/c rows, where slab q holds row q of every GEMM block of c =
-    gcd(leaf_block(B), B/P) consecutive batch rows, and within a slab the
-    blocks of each shard follow `reduction.tree_order`, shard-minor.  A block
-    is a strided view of the c slabs, so every dense product is still one
-    BLAS GEMM per block of c consecutive rows, in their natural order.  Every
-    batch sum is then the canonical pairwise tree within each shard, taken in
-    two steps over contiguous rows: `tree_sum` over the c slabs (the tree
-    within each block), then `halving_tree_sum` over each shard's blocks.  A
-    dense layer's weight-gradient block partials x_blk.T @ d_blk carry its
-    bias-gradient block sums as one extra row, and batch norm stacks the two
-    vectors it sums, so each layer makes one tree.  The per-shard partials
-    combine with the same tree; for power-of-two shard sizes that
-    leaf_block(B) divides, the blocks and trees are those of the whole batch,
-    so results are independent of the shard layout.  Batch-norm statistics
-    and their backward coupling terms are reduced over the global batch this
-    way (sync-BN), and the running statistics are updated once per layer.  A
-    batch that `shards` does not divide is a PartitionError.
+    The batch is first gathered into tree order (:func:`_tree_layout`), and
+    every batch sum is one `reduction.tree_sum` over each shard's m = B/P
+    rows: the canonical pairwise tree, whose levels add contiguous rows.
+    The GEMM block c = gcd(leaf_block(B), m) is a power of two dividing m,
+    so the layout is c contiguous slabs of B/c rows, slab r holding row
+    rev_c(r) of every block of c consecutive batch rows (`tree_order(c)` is
+    rev_c).  A block is a strided view of the slabs, so every dense product
+    is still one BLAS GEMM per block, and the first log2(c) levels of a
+    shard's tree are the tree within each block.  A dense layer's
+    weight-gradient block partials x_blk.T @ d_blk carry its bias-gradient
+    block sums, the slab tree of d, as one extra row, and batch norm stacks
+    the two vectors it sums, so each layer makes one tree over its blocks.
+    The per-shard partials combine with `reduction.tree_reduce`; for
+    power-of-two shard sizes that leaf_block(B) divides, the blocks and trees
+    are those of the whole batch, so results are independent of the shard
+    layout.  Batch-norm statistics and their backward coupling terms are
+    reduced over the global batch this way (sync-BN), and the running
+    statistics are updated once per layer.  A batch that `shards` does not
+    divide is a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -342,18 +346,17 @@ def forward_backward_shards(net, x, y, shards):
     if shards < 1 or n % shards:
         raise PartitionError(f"batch of {n} not divisible into {shards} shards")
     m = n // shards
-    c, perm = _tree_layout(n, shards)
+    c = math.gcd(leaf_block(n), m)
+    perm = _tree_layout(n, shards)
     buf = net.buffer
 
     def blocks(v):
         return v.reshape(c, n // c, *v.shape[1:]).swapaxes(0, 1)
 
     def shard_sums(v):
-        # in place: the tree within each block over the c slabs, then the tree
-        # over each shard's blocks; a (P, ...) view of v
-        slabs = v.reshape(c, n // c, *v.shape[1:])
-        sums = tree_sum(slabs, slabs).reshape(m // c, shards, *v.shape[1:])
-        return halving_tree_sum(sums, sums)
+        # in place over v: each shard's tree; a (P, ...) view of v
+        rows = v.reshape(m, shards, *v.shape[1:])
+        return tree_sum(rows, rows)
 
     y = y[perm]
     # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
@@ -392,7 +395,7 @@ def forward_backward_shards(net, x, y, shards):
             slabs = d.reshape(c, n // c, s.out_dim)
             partials[:, s.in_dim] = tree_sum(slabs, buf("sums", (c // 2, *slabs.shape[1:])))
             sums = partials.reshape(m // c, shards, *partials.shape[1:])
-            sums = halving_tree_sum(sums, sums)
+            sums = tree_sum(sums, sums)
             grads[:, w.span] = sums[:, :s.in_dim].reshape(shards, -1)
             grads[:, b.span] = sums[:, s.in_dim]
             if i > 0:  # nothing uses the gradient of the network's input
@@ -471,12 +474,13 @@ EVAL_ROWS = 64  # test rows per evaluation GEMM
 def accuracy(net, inputs, labels):
     """Fraction of argmax hits, evaluated in blocks of EVAL_ROWS rows.
 
-    Rows are independent in eval mode, so the blocks give the hits of one
-    pass over all rows, while keeping each GEMM small enough to stay on one
-    BLAS thread.  If any row overflows, the NumericOverflowError names the
-    first layer at which one does, whatever block it is in.
+    The batch is checked like a training batch (:func:`check_batch`).  Rows
+    are independent in eval mode, so the blocks give the hits of one pass
+    over all rows, while keeping each GEMM small enough to stay on one BLAS
+    thread.  If any row overflows, the NumericOverflowError names the first
+    layer at which one does, whatever block it is in.
     """
-    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
+    inputs, labels = check_batch(net, inputs, labels)
     hits, overflows = 0, []
     for start in range(0, len(inputs), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)

@@ -125,12 +125,18 @@ def apply_update(params, hp, lr, iteration=0):
     param <- param - v
 
     Lambdas come per group from its views; the step itself runs once over
-    the flat vectors, with each group's lambda * lr repeated over its span.
+    the flat vectors, with each group's lambda * lr written over its span of
+    `params.rate` and lambda * lr * g into `params.step`.
     """
     lambdas = {g.name: group_local_lr(g, hp) for g in params}
-    rate = np.repeat([lam * lr for lam in lambdas.values()], [g.param.size for g in params])
+    rate, step = params.rate, params.step
+    for g in params:
+        rate[g.span] = lambdas[g.name] * lr
+    np.multiply(params.param, hp.weight_decay, out=step)
+    step += params.grad
+    step *= rate
     params.momentum *= hp.momentum
-    params.momentum += rate * (params.grad + hp.weight_decay * params.param)
+    params.momentum += step
     params.param -= params.momentum
     if not np.all(np.isfinite(params.param)):
         group = next(g.name for g in params if not np.all(np.isfinite(g.param)))

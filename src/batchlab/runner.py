@@ -130,17 +130,25 @@ def run_experiment(cfg, output_root="."):
 
 
 def sweep(config_dir, output_root="."):
-    """Run every config in a directory and emit `output_root`/sweep.csv."""
+    """Run every config in a directory and emit `output_root`/sweep.csv.
+
+    The configs must share the dataset section and the epoch budget, and
+    each must write to its own [output] dir; otherwise nothing trains.
+    """
     paths = sorted(Path(config_dir).glob("*.cfg")) + sorted(Path(config_dir).glob("*.ini"))
     if not paths:
         raise ConfigError(f"no .cfg/.ini configs in {config_dir}")
     cfgs = [config.parse_config(p) for p in paths]
     ref = cfgs[0]
+    owners = {}  # output dir -> the config that writes there
     for p, c in zip(paths, cfgs):
         if c.dataset != ref.dataset:
             raise ConfigError(f"{p}: sweep configs must share the dataset section")
         if c.hyper.epochs != ref.hyper.epochs:
             raise ConfigError(f"{p}: sweep configs must share the epoch budget")
+        other = owners.setdefault(Path(c.output_dir), p)
+        if other != p:
+            raise ConfigError(f"{other} and {p} both write to [output] dir = {c.output_dir}")
 
     results = [run_experiment(c, output_root) for c in cfgs]
     root = Path(output_root)

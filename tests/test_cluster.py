@@ -281,7 +281,7 @@ class TestWorkspace:
         assert all(net.workspace[key] is arr for key, arr in before.items())
         # the step's own batch-sized arrays come to megabytes (a 1 MB weight
         # gradient block array at both shapes); what is left is small
-        assert peak < 512 * 1024, peak
+        assert peak < 128 * 1024, peak
 
 
 class TestTrain:

@@ -278,6 +278,19 @@ class TestSweep:
         with pytest.raises(ConfigError, match="epoch budget"):
             runner.sweep(tmp_path / "cfgs", output_root=tmp_path)
 
+    def test_configs_sharing_an_output_dir_rejected_before_training(self, tmp_path, capsys):
+        # the second run would overwrite the first one's log.csv
+        (tmp_path / "cfgs").mkdir()
+        for name in ("a", "b"):
+            cfg = dataclasses.replace(spirals_cfg(tmp_path), output_dir="same")
+            config.write_config(cfg, tmp_path / "cfgs" / f"{name}.cfg")
+        out = tmp_path / "out"
+        code = cli.main(["sweep", str(tmp_path / "cfgs"), "--output-root", str(out)])
+        assert code == runner.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "a.cfg and " in err and "b.cfg both write to [output] dir = same" in err
+        assert not out.exists()
+
 
 class TestCli:
     def test_train_exit_zero(self, tmp_path):

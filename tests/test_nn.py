@@ -291,3 +291,13 @@ class TestEval:
             with pytest.raises(NumericOverflowError) as blocked:
                 nn.accuracy(net, x, y)
         assert blocked.value.layer_index == whole.value.layer_index == 0
+
+    @pytest.mark.parametrize("labels, match", [
+        (np.array([0]), "labels of shape"),
+        (np.full(nn.EVAL_ROWS, 7), "network has 3 classes"),
+    ])
+    def test_accuracy_rejects_labels_that_do_not_fit(self, labels, match):
+        net = self._trained_net()
+        x, _ = random_batch(96, n=nn.EVAL_ROWS)
+        with pytest.raises(ConfigError, match=match):
+            nn.accuracy(net, x, labels)

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from batchlab.reduction import halving_tree_sum, tree_order, tree_reduce, tree_sum
+from batchlab.reduction import tree_order, tree_reduce, tree_sum
 
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, width=64)
 
@@ -20,11 +20,17 @@ def sliced_arrays(draw):
 @given(sliced_arrays())
 def test_slice_trees_compose_into_whole_tree(case):
     # The law that makes a P-worker step equal the 1-worker step bit for bit:
-    # per-slice trees over aligned power-of-two slices, reduced with the same
-    # tree, perform exactly the additions of one tree over the whole array.
+    # per-worker trees over aligned power-of-two slices, each in tree_order,
+    # reduced with tree_reduce, perform exactly the additions of one tree
+    # over the whole array in tree_order.  The engine takes the P per-worker
+    # trees as one tree_sum over the slices laid out (m, P), worker-minor.
     whole, workers = case
-    partials = [tree_sum(s) for s in np.split(whole, workers)]
-    assert tree_reduce(partials).tobytes() == tree_sum(whole).tobytes()
+    m = len(whole) // workers
+    slices = [s[tree_order(m)] for s in np.split(whole, workers)]
+    expected = tree_sum(whole[tree_order(len(whole))]).tobytes()
+    assert tree_reduce([tree_sum(s) for s in slices]).tobytes() == expected
+    layout = np.stack(slices, axis=1)
+    assert tree_reduce(list(tree_sum(layout, layout))).tobytes() == expected
 
 
 @st.composite
@@ -36,26 +42,24 @@ def summands(draw):
 
 
 @given(summands())
-def test_scratch_and_in_place_trees_match_the_pairwise_tree(values):
-    # The workspace engine sums into a reused scratch array, or over the
-    # summands themselves; both must perform the additions of the plain
-    # pairwise tree, which tree_reduce spells out one row at a time.
-    expected = tree_reduce(list(values)).tobytes()
-    assert tree_sum(values).tobytes() == expected
-    scratch = np.full(((len(values) + 1) // 2, *values.shape[1:]), np.nan)
-    assert tree_sum(values, scratch).tobytes() == expected
-    consumed = values.copy()
-    assert tree_sum(consumed, consumed).tobytes() == expected
-
-
-@given(summands())
 def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
     # The engine lays every batch sum out in tree_order and adds contiguous
-    # halves; the pairs, and so the bits, must be tree_sum's over the rows in
-    # natural order, with a scratch array or in place.
-    expected = tree_sum(values).tobytes()
+    # halves, into a reused scratch array or over the summands themselves;
+    # each way must perform the additions of the pairwise tree, which
+    # tree_reduce spells out one row at a time.
+    expected = tree_reduce(list(values)).tobytes()
     ordered = values[tree_order(len(values))]
-    assert halving_tree_sum(ordered).tobytes() == expected
+    assert tree_sum(ordered).tobytes() == expected
     scratch = np.full(((len(values) + 1) // 2, *values.shape[1:]), np.nan)
-    assert halving_tree_sum(ordered, scratch).tobytes() == expected
-    assert halving_tree_sum(ordered, ordered).tobytes() == expected
+    assert tree_sum(ordered, scratch).tobytes() == expected
+    assert tree_sum(ordered, ordered).tobytes() == expected
+
+
+@given(st.integers(0, 5), st.integers(1, 12))
+def test_tree_order_splits_into_bit_reversed_slabs(log_c, q):
+    # With c a power of two, tree_order(c*q) is c contiguous slabs, slab r
+    # holding row tree_order(c)[r] (the bit reversal of r) of every block of
+    # c consecutive rows: the engine's GEMM blocks are strided views of them.
+    c = 2 ** log_c
+    slabs = tree_order(c * q).reshape(c, q)
+    assert np.array_equal(slabs, c * tree_order(q) + tree_order(c)[:, None])
