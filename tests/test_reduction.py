@@ -44,12 +44,18 @@ def summands(draw):
 @given(summands())
 def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
     # The engine lays every batch sum out in tree_order and adds contiguous
-    # halves, into a reused scratch array or over the summands themselves;
-    # each way must perform the additions of the pairwise tree, which
-    # tree_reduce spells out one row at a time.
+    # halves; the pairs, and so the bits, must be those of the pairwise tree,
+    # which tree_reduce spells out one row at a time.
+    expected = tree_reduce(list(values)).tobytes()
+    assert tree_sum(values[tree_order(len(values))]).tobytes() == expected
+
+
+@given(summands())
+def test_scratch_and_in_place_trees_match_the_pairwise_tree(values):
+    # The engine sums into a reused scratch array, or over the summands
+    # themselves; both must perform the additions of the plain pairwise tree.
     expected = tree_reduce(list(values)).tobytes()
     ordered = values[tree_order(len(values))]
-    assert tree_sum(ordered).tobytes() == expected
     scratch = np.full(((len(values) + 1) // 2, *values.shape[1:]), np.nan)
     assert tree_sum(ordered, scratch).tobytes() == expected
     assert tree_sum(ordered, ordered).tobytes() == expected
