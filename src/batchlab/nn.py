@@ -11,9 +11,10 @@ over the P partials.  For power-of-two slices that the block size divides,
 that is the single-worker tree, so both runs perform bit-identical arithmetic
 (batch-norm statistics are computed over the *global* batch, sync-BN style).
 A training step carries the batch with each worker's rows in
-`reduction.tree_order` (:func:`_tree_layout`), so that every batch sum is
-one `reduction.tree_sum` over contiguous halves; the layout changes which
-rows are stored where, not which rows are added.
+`reduction.tree_order` (:func:`_tree_layout`), so that every batch sum,
+the whole parameter gradient among them, is one in-place
+`reduction.tree_sum` over contiguous halves; the layout changes which rows
+are stored where, not which rows are added.
 """
 
 import functools
@@ -324,17 +325,18 @@ def forward_backward_shards(net, x, y, shards):
     rev_c(r) of every block of c consecutive batch rows (`tree_order(c)` is
     rev_c).  A block is a strided view of the slabs, so every dense product
     is still one BLAS GEMM per block, and the first log2(c) levels of a
-    shard's tree are the tree within each block.  A dense layer's
-    weight-gradient block partials x_blk.T @ d_blk carry its bias-gradient
-    block sums, the slab tree of d, as one extra row, and batch norm stacks
-    the two vectors it sums, so each layer makes one tree over its blocks.
-    The per-shard partials combine with `reduction.tree_reduce`; for
-    power-of-two shard sizes that leaf_block(B) divides, the blocks and trees
-    are those of the whole batch, so results are independent of the shard
-    layout.  Batch-norm statistics and their backward coupling terms are
-    reduced over the global batch this way (sync-BN), and the running
-    statistics are updated once per layer.  A batch that `shards` does not
-    divide is a PartitionError.
+    shard's tree are the tree within each block.  The backward writes each
+    block's gradient into one (B/c, |W|) array laid out like
+    `net.params.grad` (a dense layer's x_blk.T @ d_blk and bias block sums,
+    batch norm's block sums of [d * xhat, d]), and one tree over each
+    shard's m/c rows of it gives every shard's gradient.  The per-shard
+    sums of the loss and of batch norm combine with `reduction.tree_reduce`;
+    for power-of-two shard sizes that leaf_block(B) divides, the blocks and
+    trees are those of the whole batch, so results are independent of the
+    shard layout.  Batch-norm statistics and their backward coupling terms
+    are reduced over the global batch this way (sync-BN), and the running
+    statistics are updated once per layer.  An empty batch is a
+    ConfigError, and one that `shards` does not divide a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -343,6 +345,8 @@ def forward_backward_shards(net, x, y, shards):
     until the next call on `net`.
     """
     n = len(x)
+    if n == 0:
+        raise ConfigError("empty training batch: a step needs at least one example")
     if shards < 1 or n % shards:
         raise PartitionError(f"batch of {n} not divisible into {shards} shards")
     m = n // shards
@@ -353,10 +357,13 @@ def forward_backward_shards(net, x, y, shards):
     def blocks(v):
         return v.reshape(c, n // c, *v.shape[1:]).swapaxes(0, 1)
 
+    def block_sums(v):
+        # in place over v: the tree within each block; a (B/c, ...) view of v
+        return tree_sum(v.reshape(c, n // c, *v.shape[1:]))
+
     def shard_sums(v):
-        # in place over v: each shard's tree; a (P, ...) view of v
-        rows = v.reshape(m, shards, *v.shape[1:])
-        return tree_sum(rows, rows)
+        # in place over v: each shard's tree over its rows; a (P, ...) view of v
+        return tree_sum(v.reshape(-1, shards, *v.shape[1:]))
 
     y = y[perm]
     # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
@@ -375,50 +382,46 @@ def forward_backward_shards(net, x, y, shards):
     loss_sum = float(tree_reduce(list(shard_sums(losses))))
     correct = int(np.count_nonzero(p.argmax(axis=1) == y))
 
-    # backward, sum convention; row j of grads is shard j's gradient.  Each
-    # dense layer's input gradient is written over its input record, which
-    # is spent once the weight gradient is taken.
-    grads = buf("grads", (shards, net.params.param.size))
+    # backward, sum convention.  Row r of `part` holds block r's gradient,
+    # laid out like net.params.grad.  Each dense layer's input gradient is
+    # written over its input record, which is spent once the weight
+    # gradient is taken, and its bias block sums over d, spent after that.
+    part = buf("part", (n // c, net.params.param.size))
     d = p
     d[idx, y] -= 1.0  # softmax minus one-hot
     for i in range(len(net.specs) - 2, -1, -1):
         s, rec = net.specs[i], records[i]
         if s.kind == DENSE:
             w, b = net.layer_groups[i]
-            # rows [0, in_dim) of a block's partial are x_blk.T @ d_blk, row
-            # in_dim is the sum of d_blk; at c == 1 the product is rank one
-            partials = buf("partials", (n // c, s.in_dim + 1, s.out_dim))
+            # a block's weight partial is x_blk.T @ d_blk, rank one at c == 1
+            wpart = part[:, w.span].reshape(n // c, s.in_dim, s.out_dim)
             if c == 1:
-                np.einsum("bi,bj->bij", rec, d, out=partials[:, :s.in_dim])
+                np.einsum("bi,bj->bij", rec, d, out=wpart)
             else:
-                np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=partials[:, :s.in_dim])
-            slabs = d.reshape(c, n // c, s.out_dim)
-            partials[:, s.in_dim] = tree_sum(slabs, buf("sums", (c // 2, *slabs.shape[1:])))
-            sums = partials.reshape(m // c, shards, *partials.shape[1:])
-            sums = tree_sum(sums, sums)
-            grads[:, w.span] = sums[:, :s.in_dim].reshape(shards, -1)
-            grads[:, b.span] = sums[:, s.in_dim]
+                np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=wpart)
             if i > 0:  # nothing uses the gradient of the network's input
                 np.matmul(blocks(d), w.param.T, out=blocks(rec))
-                d = rec
+            part[:, b.span] = block_sums(d)
+            d = rec
         elif s.kind == RELU:
             d *= rec
         elif s.kind == BATCHNORM:
             scale, shift = net.layer_groups[i]
             xhat, inv = rec
-            # one tree over the stacked [d * xhat, d], laid out like the
-            # adjacent scale and shift spans of the flat gradient
+            # the stacked [d * xhat, d] is laid out like the adjacent scale
+            # and shift spans; its shard sums give the coupling terms
             stats = buf("bnsums", (n, 2, d.shape[1]))
             np.multiply(d, xhat, out=stats[:, 0])
             stats[:, 1] = d
-            sums = shard_sums(stats)
-            grads[:, scale.span.start:shift.span.stop] = sums.reshape(shards, -1)
-            mean_t2, mean_t1 = tree_reduce(list(sums)) / n
+            sums = block_sums(stats)
+            part[:, scale.span.start:shift.span.stop] = sums.reshape(n // c, -1)
+            mean_t2, mean_t1 = tree_reduce(list(shard_sums(sums))) / n
             # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place;
             # xhat is spent after this
             d -= mean_t1
             d -= np.multiply(xhat, mean_t2, out=xhat)
             d *= scale.param * inv
+    grads = shard_sums(part)
     return loss_sum, correct, grads
 
 
@@ -472,7 +475,7 @@ EVAL_ROWS = 64  # test rows per evaluation GEMM
 
 
 def accuracy(net, inputs, labels):
-    """Fraction of argmax hits, evaluated in blocks of EVAL_ROWS rows.
+    """Fraction of argmax hits, evaluated in blocks of EVAL_ROWS rows; nan for no rows.
 
     The batch is checked like a training batch (:func:`check_batch`).  Rows
     are independent in eval mode, so the blocks give the hits of one pass
@@ -481,6 +484,8 @@ def accuracy(net, inputs, labels):
     layer at which one does, whatever block it is in.
     """
     inputs, labels = check_batch(net, inputs, labels)
+    if not len(inputs):
+        return math.nan  # like the mean of no rows
     hits, overflows = 0, []
     for start in range(0, len(inputs), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
@@ -492,4 +497,4 @@ def accuracy(net, inputs, labels):
         hits += np.count_nonzero(logits.argmax(axis=1) == labels[rows])
     if overflows:
         raise min(overflows, key=lambda exc: exc.layer_index)
-    return float(np.divide(hits, len(inputs)))  # nan for no rows, like a mean
+    return float(np.divide(hits, len(inputs)))

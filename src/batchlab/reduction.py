@@ -9,9 +9,9 @@ decomposes into the P per-worker subtrees whenever the local batch B/P is a
 power of two, a P-worker reduction reproduces the 1-worker sum bit for bit.
 
 :func:`tree_reduce` spells the tree out over a list and is its reference.
-:func:`tree_sum` adds the same pairs over the rows of an array laid out in
-:func:`tree_order`, the generalized bit-reversal of the in-place FFT, under
-which a level adds the second half of the live rows to the first.
+:func:`tree_sum` adds the same pairs in place over the rows of an array
+laid out in :func:`tree_order`, the generalized bit-reversal of the in-place
+FFT, under which a level adds the second half of the live rows to the first.
 """
 
 import numpy as np
@@ -34,30 +34,16 @@ def tree_order(k):
     return np.concatenate([pairs, pairs + 1, np.arange(2 * h, k)])
 
 
-def tree_sum(values, scratch=None):
-    """Sum an ndarray over axis 0 with the pairwise tree, rows in `tree_order(k)`.
+def tree_sum(values):
+    """Sum an ndarray over axis 0 in place with the pairwise tree, rows in `tree_order(k)`.
 
     `tree_sum(values[tree_order(k)])` gives the bits of
     `tree_reduce(list(values))`.  A level of k rows adds rows [h, 2h) into
     rows [0, h), h = k // 2, and moves an odd last row to row h, so every
-    addition reads and writes whole contiguous halves.  The first level is
-    written into `scratch`, an array of at least ceil(k/2) rows of `values`'
-    trailing shape (allocated when not given), and every later level is
-    reduced in place there, so for k > 1 the result is a view of
-    `scratch[0]`; for k == 1 it is a view of `values[0]`.  Passing `values`
-    itself as `scratch` reduces in place and overwrites `values`.  The
-    additions, and so the bits, are the same either way.
+    addition reads and writes whole contiguous halves.  `values` is
+    consumed: the sum is left in its row 0, and `values[0]` is returned.
     """
-    values = np.asarray(values)
-    k = values.shape[0]
-    if k > 1 and scratch is not values:
-        h = k // 2
-        if scratch is None:
-            scratch = np.empty((h + k % 2, *values.shape[1:]), values.dtype)
-        np.add(values[:h], values[h:2 * h], out=scratch[:h])
-        if k % 2:
-            scratch[h] = values[k - 1]
-        values, k = scratch, h + k % 2
+    k = len(values)
     while k > 1:
         h = k // 2
         np.add(values[:h], values[h:2 * h], out=values[:h])

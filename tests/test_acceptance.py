@@ -4,9 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines on success;
 under plain pytest they appear in captured output when a criterion fails.
 """
 
+import multiprocessing
 import statistics
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -131,18 +133,42 @@ def test_c6_hardware_presets(tmp_path):
 _SPIRAL_RUNS = {}
 
 
+def _train_spirals(spirals, batch, base_lr, warmup_epochs, lars, seed):
+    """(final test accuracy, status) of one 50-epoch run."""
+    hp = optim.HyperParams(base_lr=base_lr, epochs=50, batch_size=batch,
+                           warmup_epochs=warmup_epochs, lars_enabled=lars,
+                           **SPIRAL_HYPER)
+    run = cluster.ClusterRun(1, batch, seed=seed)
+    log = cluster.train(run, MLP_SPECS, spirals, hp)
+    return log.final_test_acc(), log.status
+
+
 def _spiral_accuracy(spirals, batch, base_lr, warmup_epochs, lars, seed):
     """(final test accuracy, status) of one 50-epoch run; memoised so that c10
     reuses c7's baseline runs."""
     key = (id(spirals), batch, base_lr, warmup_epochs, lars, seed)
     if key not in _SPIRAL_RUNS:
-        hp = optim.HyperParams(base_lr=base_lr, epochs=50, batch_size=batch,
-                               warmup_epochs=warmup_epochs, lars_enabled=lars,
-                               **SPIRAL_HYPER)
-        run = cluster.ClusterRun(1, batch, seed=seed)
-        log = cluster.train(run, MLP_SPECS, spirals, hp)
-        _SPIRAL_RUNS[key] = log.final_test_acc(), log.status
+        _SPIRAL_RUNS[key] = _train_spirals(spirals, *key[1:])
     return _SPIRAL_RUNS[key]
+
+
+def _prefetch_spirals(spirals, runs):
+    """Memoise the (batch, base_lr, warmup_epochs, lars, seed) runs of `runs`
+    not yet done, two at a time in spawned processes.
+
+    The runs are independent and deterministic, so where one runs does not
+    change its result.  Only runs of B <= 512 are worth a process: at B=4096
+    the two processes' OpenBLAS threads outnumber two cores, and a run took
+    2 to 8 times as long on the pool as alone.
+    """
+    missing = [r for r in runs if (id(spirals), *r) not in _SPIRAL_RUNS]
+    if not missing:
+        return
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        futures = {r: pool.submit(_train_spirals, spirals, *r) for r in missing}
+        for r, future in futures.items():
+            _SPIRAL_RUNS[(id(spirals), *r)] = future.result()
 
 
 def test_c7_large_batch_matches_small_batch_accuracy(spirals):
@@ -152,6 +178,9 @@ def test_c7_large_batch_matches_small_batch_accuracy(spirals):
     the small-batch baseline.  The scaled-lr run without adaptive rates is
     executed and reported for context but not asserted.
     """
+    _prefetch_spirals(spirals, [(32, 0.05, 0, False, seed) for seed in range(5)]
+                      + [(512, 0.8, 5, True, seed) for seed in range(5)]
+                      + [(512, 0.8, 5, False, 0)])
     base, large = [], []
     for seed in range(5):
         acc, status = _spiral_accuracy(spirals, 32, 0.05, 0, False, seed)
@@ -228,6 +257,7 @@ def test_c10_lars_holds_accuracy_where_linear_scaling_collapses(spirals):
     is at least 0.2 below the LARS median.  A diverged plain run counts with
     the last test accuracy it recorded.
     """
+    _prefetch_spirals(spirals, [(32, 0.05, 0, False, seed) for seed in range(5)])
     base = [_spiral_accuracy(spirals, 32, 0.05, 0, False, seed)[0] for seed in range(5)]
     lars, plain = [], []
     for seed in range(5):

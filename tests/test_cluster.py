@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from batchlab import cluster, costmodel, data, nn, optim
 from batchlab.errors import ConfigError, ConsistencyError, PartitionError
+from batchlab.reduction import tree_reduce
 from conftest import MLP_SPECS, SMALL_SPECS, random_batch
 
 NOBN_SPECS = [nn.dense(2, 4), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
@@ -85,6 +87,23 @@ class TestLocalGradients:
         for j, g in enumerate(grads):
             (alone,) = local_grads(NOBN_SPECS, 6, x[j * m:(j + 1) * m], y[j * m:(j + 1) * m], 1)
             assert g.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("B, P", [
+        (32, 1), (32, 2), (32, 4), (48, 3), (24, 2), (96, 1), (12, 4),
+    ])
+    def test_each_worker_gradient_is_the_pairwise_tree_of_its_examples(self, B, P):
+        # the reduction law end to end: at c == 1 and without batch norm,
+        # every entry of worker j's gradient is tree_reduce, in batch order,
+        # over the one-example gradients of its rows
+        m = B // P
+        assert math.gcd(nn.leaf_block(B), m) == 1
+        x, y = random_batch(11, n=B)
+        net = nn.init_network(NOBN_SPECS, 6)
+        alone = [nn.forward_backward_shards(net, x[r:r + 1], y[r:r + 1], 1)[2][0].copy()
+                 for r in range(B)]
+        grads = local_grads(NOBN_SPECS, 6, x, y, P)
+        for j, g in enumerate(grads):
+            assert g.tobytes() == tree_reduce(alone[j * m:(j + 1) * m]).tobytes()
 
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ class TestForwardLoss:
     def test_bad_batch_width_rejected(self, small_net):
         with pytest.raises(ConfigError, match="incompatible"):
             nn.loss_and_grad(small_net, np.zeros((4, 3)), np.zeros(4, dtype=int))
+
+    def test_empty_batch_rejected(self, small_net):
+        with pytest.raises(ConfigError, match="empty training batch"):
+            nn.loss_and_grad(small_net, np.empty((0, 2)), [])
+        with pytest.raises(ConfigError, match="empty training batch"):
+            nn.forward_backward_shards(small_net, np.empty((0, 2)), np.empty(0, np.int64), 1)
 
     def test_nonfinite_forward_names_layer(self, small_net):
         small_net.params["dense3.weight"].param[0, 0] = np.inf
@@ -278,6 +285,12 @@ class TestEval:
         x, y = random_batch(98, n=3 * nn.EVAL_ROWS + 5)
         hits = np.count_nonzero(nn.predict_logits(net, x).argmax(axis=1) == y)
         assert nn.accuracy(net, x, y) == hits / len(x)
+
+    def test_accuracy_of_no_rows_is_nan_without_a_warning(self, small_net):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = nn.accuracy(small_net, np.empty((0, 2)), [])
+        assert math.isnan(acc)
 
     def test_overflow_names_the_first_layer_whatever_the_block(self):
         net = self._trained_net()
