@@ -1,16 +1,14 @@
 """Deterministic in-process simulation of P-worker synchronous SGD.
 
-Every worker record shares one parameter store and the step's global batch;
-worker j owns rows [j*B/P, (j+1)*B/P) of it.  In synchronous SGD all workers
-apply the same reduced gradient with the same rule, so their replicas are
-identical by construction and one store stands for all of them; the
-simulator updates it once per step.  Local gradients are per-example tree
-sums over each worker's rows, reduced across workers with the same pairwise
-tree; the summed gradient is divided by the global batch size once.  When
-the local batch size is a power of two the per-worker trees compose into the
-tree a single worker would use; when `nn.leaf_block(B)` also divides it, the
-dense GEMM blocks are the 1-worker ones, so the P-worker trajectory is
-bitwise-identical to the 1-worker one.
+Every worker record reads one parameter store, and each step takes the
+global batch as an argument: worker j owns rows [j*B/P, (j+1)*B/P) of it.
+In synchronous SGD all workers apply the same reduced gradient with the same
+rule, so their replicas are identical by construction and one store stands
+for all of them; the simulator updates it once per step.  Local gradients
+are per-example tree sums over each worker's rows, reduced across workers
+with the same pairwise tree; the summed gradient is divided by the global
+batch size once.  The splits whose P-worker trajectory is bitwise-identical
+to the 1-worker one are those :func:`nn.bitwise_invariant` names.
 """
 
 import time
@@ -19,51 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costmodel, nn, optim
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DivergenceError,
-    NumericOverflowError,
-    PartitionError,
-)
+from .errors import ConfigError, ConsistencyError, DivergenceError, NumericOverflowError
 from .reduction import tree_reduce
-
-
-@dataclass
-class ClusterRun:
-    workers: int
-    global_batch: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError("need at least one worker")
-        if self.seed < 0:
-            raise ConfigError(f"need cluster seed >= 0, got {self.seed}")
-        if self.global_batch < 1 or self.global_batch % self.workers != 0:
-            raise PartitionError(
-                f"global batch {self.global_batch} not divisible by {self.workers} workers"
-            )
-
-    @property
-    def bitwise_invariant(self):
-        """P == 1, or B/P a power of two that `nn.leaf_block(B)` divides.
-
-        The split then runs the 1-worker GEMM blocks and trees, so it gives the
-        1-worker bits.
-        """
-        local = self.global_batch // self.workers
-        return self.workers == 1 or (
-            (local & (local - 1)) == 0 and local % nn.leaf_block(self.global_batch) == 0
-        )
 
 
 @dataclass
 class WorkerState:
     worker_id: int
     net: nn.Network
-    batch_x: np.ndarray = None
-    batch_y: np.ndarray = None
 
 
 @dataclass
@@ -99,12 +60,6 @@ def make_workers(net, count):
     return [WorkerState(j, net) for j in range(count)]
 
 
-def assign_batch(workers, batch_x, batch_y):
-    """Give every worker the step's global batch, shared like the store."""
-    for w in workers:
-        w.batch_x, w.batch_y = batch_x, batch_y
-
-
 def check_synchronized(workers):
     """Raise ConsistencyError unless every worker reads worker 0's store."""
     net = workers[0].net
@@ -122,8 +77,9 @@ def all_reduce(grads):
     return tree_reduce(list(grads), lambda a, b: np.add(a, b, out=a))
 
 
-def global_step(run, workers, hp, st):
-    """One synchronous iteration: local grads, all-reduce, one shared update.
+def global_step(workers, x, y, hp, st):
+    """One synchronous iteration over the global batch `x`, `y`: local grads,
+    all-reduce, one shared update.
 
     Batch-norm statistics are exchanged over the global batch (sync-BN), so
     one collective forward/backward computes every worker's gradient.
@@ -131,34 +87,31 @@ def global_step(run, workers, hp, st):
     scheduled learning rate the update applied.
     """
     check_synchronized(workers)
-    w = workers[0]
-    loss_sum, correct, grads = nn.forward_backward_shards(
-        w.net, w.batch_x, w.batch_y, len(workers)
-    )
-    b = len(w.batch_x)
-    params = w.net.params
+    net = workers[0].net
+    loss_sum, correct, grads = nn.forward_backward_shards(net, x, y, len(workers))
+    b = len(x)
+    params = net.params
     np.divide(all_reduce(grads), b, out=params.grad)
     lr, lambdas = optim.sgd_step(params, hp, st)
     return loss_sum / b, correct, lr, lambdas
 
 
-def train(run, specs, dataset, hp):
-    """Fixed-epoch-budget synchronous training; returns a TrainingLog.
+def train(specs, dataset, hp, workers, seed):
+    """Fixed-epoch-budget synchronous training on `workers` workers; returns
+    a TrainingLog.
 
-    Runs floor(E*n/B) iterations, floor(n/B) per epoch: iteration i is step
-    i mod floor(n/B) of epoch i div floor(n/B), and each epoch draws a
-    deterministic shuffle from (run.seed, epoch).  The test set is evaluated
-    before the first step and after the last step of each epoch and of the
-    run, into that step's `test_acc` (nan for an empty test split).  A
+    B is `hp.batch_size`.  Runs floor(E*n/B) iterations, floor(n/B) per
+    epoch: iteration i is step i mod floor(n/B) of epoch i div floor(n/B),
+    and each epoch draws a deterministic shuffle from (seed, epoch), the
+    seed the network is initialised from.  The test set is evaluated before
+    the first step and after the last step of each epoch and of the run,
+    into that step's `test_acc` (nan for an empty test split).  A
     non-finite forward, loss or update ends the run with a divergence record
     instead of raising; an evaluation that overflows after k steps records
-    `diverged@<k> layer <i>`.
+    `diverged@<k> layer <i>`.  A batch that `workers` does not divide raises
+    PartitionError at the first step.
     """
-    if run.global_batch != hp.batch_size:
-        raise ConfigError(
-            f"cluster batch {run.global_batch} != optimizer batch {hp.batch_size}"
-        )
-    net = nn.init_network(specs, run.seed)
+    net = nn.init_network(specs, seed)
     train_x, train_y = nn.check_batch(net, dataset.train_x, dataset.train_y)
     test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)
     n = len(train_x)
@@ -168,7 +121,7 @@ def train(run, specs, dataset, hp):
         raise ConfigError(f"batch size {b} exceeds training set size {n}")
     st = optim.ScheduleState(costmodel.iterations(hp.epochs, n, b), ipe)
 
-    workers = make_workers(net, run.workers)
+    replicas = make_workers(net, workers)
     log = TrainingLog()
 
     def evaluate():
@@ -179,11 +132,11 @@ def train(run, specs, dataset, hp):
         while st.iteration < st.max_iterations:
             epoch, k = divmod(st.iteration, ipe)
             if k == 0:
-                perm = np.random.default_rng((run.seed, epoch)).permutation(n)
+                perm = np.random.default_rng((seed, epoch)).permutation(n)
             idx = perm[k * b:(k + 1) * b]
-            assign_batch(workers, train_x[idx], train_y[idx])
+            x, y = train_x[idx], train_y[idx]
             t0 = time.perf_counter()
-            loss, correct, lr, lambdas = global_step(run, workers, hp, st)
+            loss, correct, lr, lambdas = global_step(replicas, x, y, hp, st)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             lams = sorted(lambdas.values())
             log.rows.append(LogRow(

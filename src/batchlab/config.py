@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import costmodel, nn
-from .errors import ConfigError
+from .errors import ConfigError, PartitionError
 from .optim import HyperParams
 
 # The [dataset] keys each dataset kind reads.
@@ -65,6 +65,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"need cluster seed >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ConfigError("need at least one worker")
+        if self.hyper.batch_size % self.workers:
+            raise PartitionError(
+                f"global batch {self.hyper.batch_size} not divisible by {self.workers} workers"
+            )
 
 
 # Every settable (section, key) in header order, with the ExperimentConfig

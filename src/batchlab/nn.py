@@ -193,8 +193,8 @@ def init_network(specs, seed):
                            (f"dense{i}.bias", BIAS, np.zeros(s.out_dim))])
             width = s.out_dim
         elif s.kind == BATCHNORM:
-            if s.eps <= 0:
-                raise ConfigError(f"layer {i}: batchnorm eps must be positive")
+            if not 0 < s.eps < math.inf:
+                raise ConfigError(f"layer {i}: batchnorm eps must be finite and positive")
             layers.append([(f"bn{i}.scale", NORM_SCALE, np.ones(width)),
                            (f"bn{i}.shift", NORM_SHIFT, np.zeros(width))])
             bn_state[i] = {"mean": np.zeros(width), "var": np.ones(width)}
@@ -225,6 +225,16 @@ def leaf_block(batch):
     the same fixed-shape products; B / leaf_block(B) is at most 32 blocks.
     """
     return max(1, (batch & -batch) // 32)
+
+
+def bitwise_invariant(batch, shards):
+    """Whether splitting a batch of `batch` rows into `shards` shards gives the
+    1-shard bits: one shard, or `batch / shards` a power of two that
+    :func:`leaf_block` divides, so the split runs the 1-shard GEMM blocks and
+    trees.  `shards` must divide `batch`.
+    """
+    local = batch // shards
+    return shards == 1 or ((local & (local - 1)) == 0 and local % leaf_block(batch) == 0)
 
 
 def _fresh(role, shape, dtype=np.float64):

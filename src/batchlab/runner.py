@@ -10,6 +10,8 @@ import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import cluster, config, costmodel, data, nn
 from .errors import ConfigError
 
@@ -82,9 +84,15 @@ def _columns(record_type):
     return [f.name for f in fields(record_type)]
 
 
+def _cell(value):
+    """A CSV cell: repr(value), which round-trips floats, with a numpy scalar
+    written as the Python number it holds."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def _record_row(record, columns):
-    """Column -> repr(value) for a dataclass record; repr round-trips floats."""
-    return {name: repr(getattr(record, name)) for name in columns}
+    """Column -> cell for a dataclass record."""
+    return {name: _cell(getattr(record, name)) for name in columns}
 
 
 def _config_meta(cfg, extra=()):
@@ -97,14 +105,15 @@ def run_experiment(cfg, output_root="."):
     log.csv, lambdas.csv (when a step ran) and cost.csv to
     `output_root`/`cfg.output_dir`."""
     dataset = build_dataset(cfg.dataset)
-    run = cluster.ClusterRun(cfg.workers, cfg.hyper.batch_size, cfg.seed)
-    log = cluster.train(run, cfg.layers, dataset, cfg.hyper)
+    log = cluster.train(cfg.layers, dataset, cfg.hyper, cfg.workers, cfg.seed)
     report = cost_report(cfg, dataset.n_train)
 
     out_dir = Path(output_root) / cfg.output_dir
+    b = cfg.hyper.batch_size
     meta = _config_meta(cfg, [("run.status", log.status), ("run.n_train", dataset.n_train),
-                              ("run.bitwise_invariant", str(run.bitwise_invariant).lower()),
-                              ("run.leaf_block", nn.leaf_block(run.global_batch))])
+                              ("run.bitwise_invariant",
+                               str(nn.bitwise_invariant(b, cfg.workers)).lower()),
+                              ("run.leaf_block", nn.leaf_block(b))])
 
     log_columns = _columns(cluster.LogRow)
     _write_csv(
@@ -120,7 +129,7 @@ def run_experiment(cfg, output_root="."):
             out_dir / "lambdas.csv",
             meta,
             ["iteration"] + names,
-            ({"iteration": i, **{k: repr(v) for k, v in lam.items()}}
+            ({"iteration": i, **{k: _cell(v) for k, v in lam.items()}}
              for i, lam in enumerate(log.lambda_history)),
         )
 
@@ -160,13 +169,13 @@ def sweep(config_dir, output_root="."):
             "batch_size": res.cfg.hyper.batch_size,
             "workers": res.cfg.workers,
             "status": res.log.status,
-            "final_train_acc": repr(final.train_acc) if final else "",
-            "final_test_acc": repr(final.test_acc) if final else "",
+            "final_train_acc": _cell(final.train_acc) if final else "",
+            "final_test_acc": _cell(final.test_acc) if final else "",
             "iterations": res.report.iterations,
             "messages": res.report.messages,
             "comm_volume_words": res.report.comm_volume_words,
-            "total_time_model": repr(res.report.total_time),
-            "energy_joules": repr(res.report.energy_joules),
+            "total_time_model": _cell(res.report.total_time),
+            "energy_joules": _cell(res.report.energy_joules),
         })
     _write_csv(
         root / "sweep.csv",
@@ -203,10 +212,10 @@ def table2_rows():
             "iterations": report.iterations,
             "workers": workers,
             "iteration_time_expr": expr,
-            "t_comp": repr(report.t_comp_per_iter),
-            "t_comm": repr(report.t_comm_per_iter),
-            "t_iter": repr(report.t_iter),
-            "total_time": repr(report.total_time),
+            "t_comp": _cell(report.t_comp_per_iter),
+            "t_comm": _cell(report.t_comm_per_iter),
+            "t_iter": _cell(report.t_iter),
+            "total_time": _cell(report.total_time),
         })
     return rows
 
@@ -218,8 +227,8 @@ def table7_rows():
         rows.append({
             "model": m.name,
             "num_params": m.num_params,
-            "flops_per_image": repr(m.flops_per_image),
-            "scaling_ratio": repr(costmodel.scaling_ratio(m)),
+            "flops_per_image": _cell(m.flops_per_image),
+            "scaling_ratio": _cell(costmodel.scaling_ratio(m)),
         })
     return rows
 
@@ -228,7 +237,7 @@ def table10_rows():
     rows = []
     for name in costmodel.cluster_preset_names():
         spec = costmodel.cluster_preset(name)
-        rows.append({"network": name, "alpha": repr(spec.alpha), "beta": repr(spec.beta)})
+        rows.append({"network": name, "alpha": _cell(spec.alpha), "beta": _cell(spec.beta)})
     return rows
 
 
@@ -237,7 +246,7 @@ def table11_rows():
     return [
         {"operation": op,
          "type": "communication" if op.endswith("access") else "computation",
-         "energy_pj": repr(pj)}
+         "energy_pj": _cell(pj)}
         for op, pj in costmodel.energy_table().items()
     ]
 

@@ -34,7 +34,6 @@ def run_trajectory(workers_count, train_x, train_y, batch, iters, seed=17):
     hp = optim.HyperParams(base_lr=0.05, epochs=(iters * batch) // n,
                            batch_size=batch, **SPIRAL_HYPER)
     st = optim.ScheduleState(max_iterations=iters, iterations_per_epoch=ipe)
-    run = cluster.ClusterRun(workers_count, batch, seed=seed)
     workers = cluster.make_workers(nn.init_network(MLP_SPECS, seed), workers_count)
     sums = []
     epoch = 0
@@ -44,8 +43,7 @@ def run_trajectory(workers_count, train_x, train_y, batch, iters, seed=17):
             if st.iteration >= iters:
                 break
             idx = perm[k * batch:(k + 1) * batch]
-            cluster.assign_batch(workers, train_x[idx], train_y[idx])
-            cluster.global_step(run, workers, hp, st)
+            cluster.global_step(workers, train_x[idx], train_y[idx], hp, st)
             sums.append(workers[0].net.checksum())
         epoch += 1
     return sums
@@ -138,8 +136,7 @@ def _train_spirals(spirals, batch, base_lr, warmup_epochs, lars, seed):
     hp = optim.HyperParams(base_lr=base_lr, epochs=50, batch_size=batch,
                            warmup_epochs=warmup_epochs, lars_enabled=lars,
                            **SPIRAL_HYPER)
-    run = cluster.ClusterRun(1, batch, seed=seed)
-    log = cluster.train(run, MLP_SPECS, spirals, hp)
+    log = cluster.train(MLP_SPECS, spirals, hp, 1, seed)
     return log.final_test_acc(), log.status
 
 

@@ -23,11 +23,8 @@ def make_dataset(n, seed=0, classes=3):
     return data.Dataset(x, y, x[: max(n // 10, 1)], y[: max(n // 10, 1)], classes, 2)
 
 
-def ready_workers(specs, seed, batch_x, batch_y, P):
-    net = nn.init_network(specs, seed)
-    workers = cluster.make_workers(net, P)
-    cluster.assign_batch(workers, batch_x, batch_y)
-    return workers
+def ready_workers(specs, seed, P):
+    return cluster.make_workers(nn.init_network(specs, seed), P)
 
 
 def local_grads(specs, seed, x, y, P):
@@ -40,14 +37,6 @@ class TestPartition:
         x, y = random_batch(0, n=10)
         with pytest.raises(PartitionError, match="10 not divisible into 4"):
             local_grads(NOBN_SPECS, 0, x, y, 4)
-
-    def test_cluster_run_validates_divisibility(self):
-        with pytest.raises(PartitionError):
-            cluster.ClusterRun(4, 10)
-
-    def test_cluster_run_rejects_a_negative_seed(self):
-        with pytest.raises(ConfigError, match="seed >= 0, got -1"):
-            cluster.ClusterRun(1, 32, seed=-1)
 
 
 class TestLocalGradients:
@@ -107,13 +96,13 @@ class TestLocalGradients:
 
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)
-        workers = ready_workers(SMALL_SPECS, 5, x, y, 2)
+        workers = ready_workers(SMALL_SPECS, 5, 2)
         workers[1].net = nn.init_network(SMALL_SPECS, 5)
         workers[1].net.params["dense0.weight"].param[0, 0] += 1.0
         hp = optim.HyperParams(base_lr=0.1, epochs=1, batch_size=8)
         st_ = optim.ScheduleState(max_iterations=1, iterations_per_epoch=1)
         with pytest.raises(ConsistencyError):
-            cluster.global_step(cluster.ClusterRun(2, 8), workers, hp, st_)
+            cluster.global_step(workers, x, y, hp, st_)
 
 
 class TestAllReduce:
@@ -143,9 +132,8 @@ class TestGlobalStep:
         x, y = random_batch(5, n=16)
         hp = self._hp()
         st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
-        run = cluster.ClusterRun(1, 16, seed=2)
-        workers = ready_workers(SMALL_SPECS, 2, x, y, 1)
-        cluster.global_step(run, workers, hp, st_)
+        workers = ready_workers(SMALL_SPECS, 2, 1)
+        cluster.global_step(workers, x, y, hp, st_)
 
         ref = nn.init_network(SMALL_SPECS, 2)
         st2 = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
@@ -161,9 +149,8 @@ class TestGlobalStep:
         nets = {}
         for workers_count in (1, P):
             st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
-            run = cluster.ClusterRun(workers_count, 16, seed=4)
-            workers = ready_workers(SMALL_SPECS, 4, x, y, workers_count)
-            cluster.global_step(run, workers, hp, st_)
+            workers = ready_workers(SMALL_SPECS, 4, workers_count)
+            cluster.global_step(workers, x, y, hp, st_)
             nets[workers_count] = workers[0].net
         assert nets[1].checksum() == nets[P].checksum()
 
@@ -173,7 +160,7 @@ class TestGlobalStep:
         hp = optim.HyperParams(base_lr=0.05, epochs=13, batch_size=64)
         losses = {}
         for P in (1, 4):
-            log = cluster.train(cluster.ClusterRun(P, 64, seed=11), SMALL_SPECS, ds, hp)
+            log = cluster.train(SMALL_SPECS, ds, hp, P, 11)
             losses[P] = [r.loss for r in log.rows]
         assert len(losses[1]) == 104  # floor(13 * 512 / 64)
         assert losses[1][:100] == losses[4][:100]
@@ -183,12 +170,10 @@ def lars_checksums(B, P, x, y, steps=6, seed=3):
     """Parameter checksum after each of `steps` LARS steps over consecutive B-row batches."""
     hp = optim.HyperParams(base_lr=0.4, epochs=1, batch_size=B, lars_enabled=True)
     st_ = optim.ScheduleState(max_iterations=steps, iterations_per_epoch=steps)
-    run = cluster.ClusterRun(P, B, seed=seed)
     workers = cluster.make_workers(nn.init_network(MLP_SPECS, seed), P)
     sums = []
     for k in range(steps):
-        cluster.assign_batch(workers, x[k * B:(k + 1) * B], y[k * B:(k + 1) * B])
-        cluster.global_step(run, workers, hp, st_)
+        cluster.global_step(workers, x[k * B:(k + 1) * B], y[k * B:(k + 1) * B], hp, st_)
         sums.append(workers[0].net.checksum())
     return sums
 
@@ -203,12 +188,10 @@ specs = config.parse_layers(
     "dense 2 64, batchnorm, relu, dense 64 64, batchnorm, relu, dense 64 3, softmax-xent")
 hp = optim.HyperParams(base_lr=0.05 * B / 32, epochs=3, batch_size=B, lars_enabled=True)
 st = optim.ScheduleState(max_iterations=40, iterations_per_epoch=len(ds.train_x) // B)
-run = cluster.ClusterRun(P, B, seed=5)
 workers = cluster.make_workers(nn.init_network(specs, 5), P)
 for k in range(40):
     rows = slice(k * B % 8192, k * B % 8192 + B)
-    cluster.assign_batch(workers, ds.train_x[rows], ds.train_y[rows])
-    cluster.global_step(run, workers, hp, st)
+    cluster.global_step(workers, ds.train_x[rows], ds.train_y[rows], hp, st)
 print(workers[0].net.checksum())
 """
 
@@ -225,7 +208,7 @@ class TestLeafBlocks:
         (512, 64, False), (24, 2, False),
     ])
     def test_flag_names_the_exact_splits(self, spirals, B, P, exact):
-        assert cluster.ClusterRun(P, B).bitwise_invariant is exact
+        assert nn.bitwise_invariant(B, P) is exact
         if exact:
             x, y = spirals.train_x, spirals.train_y
             assert lars_checksums(B, P, x, y) == lars_checksums(B, 1, x, y)
@@ -256,9 +239,7 @@ def lars_step(net, P, x, y):
     B = len(x)
     hp = optim.HyperParams(base_lr=0.05 * B / 32, epochs=1, batch_size=B, lars_enabled=True)
     st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=10, iteration=3)
-    workers = cluster.make_workers(net, P)
-    cluster.assign_batch(workers, x, y)
-    return cluster.global_step(cluster.ClusterRun(P, B), workers, hp, st_)[0]
+    return cluster.global_step(cluster.make_workers(net, P), x, y, hp, st_)[0]
 
 
 class TestWorkspace:
@@ -307,14 +288,14 @@ class TestTrain:
     def test_single_iteration_boundary(self):
         ds = make_dataset(64, seed=1)
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=64)
-        log = cluster.train(cluster.ClusterRun(1, 64, seed=0), SMALL_SPECS, ds, hp)
+        log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert len(log.rows) == 1
         assert log.status == "completed"
 
     def test_same_config_gives_identical_log(self):
         ds = make_dataset(256, seed=2)
         hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=32)
-        logs = [cluster.train(cluster.ClusterRun(2, 32, seed=9), SMALL_SPECS, ds, hp)
+        logs = [cluster.train(SMALL_SPECS, ds, hp, 2, 9)
                 for _ in range(2)]
         # wall_ms is measured, everything else must match bitwise
         sem = lambda log: [(r.epoch, r.iteration, r.lr, r.loss, r.train_acc, r.test_acc,
@@ -325,7 +306,7 @@ class TestTrain:
     def test_iteration_accounting_matches_cost_model(self):
         ds = make_dataset(300, seed=3)
         hp = optim.HyperParams(base_lr=0.05, epochs=3, batch_size=32)
-        log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+        log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert len(log.rows) == costmodel.iterations(3, 300, 32) == 28
 
     def test_epochs_and_evaluations_follow_the_schedule(self, monkeypatch):
@@ -345,7 +326,7 @@ class TestTrain:
         monkeypatch.setattr(nn, "accuracy", counted_accuracy)
         ds = make_dataset(300, seed=3)
         hp = optim.HyperParams(base_lr=0.05, epochs=3, batch_size=32)
-        log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+        log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert [r.epoch for r in log.rows] == [0] * 9 + [1] * 9 + [2] * 9 + [3]
         assert evaluated_after == [0, 9, 18, 27, 28]
 
@@ -354,14 +335,14 @@ class TestTrain:
         ds = make_dataset(300, seed=3)
         ds.test_x, ds.test_y = ds.test_x[:0], ds.test_y[:0]
         hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=32)
-        log = cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+        log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert len(log.rows) == 18 and log.status == "completed"
         assert all(np.isnan(r.test_acc) for r in log.rows)
 
     def test_divergent_run_preserves_partial_log(self):
         ds = make_dataset(256, seed=4)
         hp = optim.HyperParams(base_lr=1e6, epochs=4, batch_size=64, weight_decay=0.0)
-        log = cluster.train(cluster.ClusterRun(1, 64, seed=0), SMALL_SPECS, ds, hp)
+        log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert log.diverged
         assert log.status.startswith("diverged@")
         assert len(log.rows) < costmodel.iterations(4, 256, 64)
@@ -375,7 +356,7 @@ class TestTrain:
             ds.test_x = ds.test_x * 1e308
         hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=64)
         with np.errstate(over="ignore", invalid="ignore"):
-            log = cluster.train(cluster.ClusterRun(1, 64, seed=0), SMALL_SPECS, ds, hp)
+            log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
         assert log.status == "diverged@0 layer 0"
         assert log.rows == []
 
@@ -387,7 +368,7 @@ class TestTrain:
         ds.train_x *= 10.0
         hp = optim.HyperParams(base_lr=1e308, epochs=4, batch_size=64)
         with np.errstate(over="ignore", invalid="ignore"):
-            log = cluster.train(cluster.ClusterRun(P, 64, seed=0), NOBN_SPECS, ds, hp)
+            log = cluster.train(NOBN_SPECS, ds, hp, P, 0)
         assert log.status == "diverged@0 group dense0.weight"
         assert log.rows == []
 
@@ -396,7 +377,7 @@ class TestTrain:
         ds.train_y[5] = -1
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=r"labels span \[-1, 2\]"):
-            cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+            cluster.train(SMALL_SPECS, ds, hp, 1, 0)
 
     @pytest.mark.parametrize("n_labels", [250, 260])
     def test_label_count_must_match_examples(self, n_labels):
@@ -404,10 +385,10 @@ class TestTrain:
         ds.train_y = np.resize(ds.train_y, n_labels)
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=re.escape(f"labels of shape ({n_labels},) for 256")):
-            cluster.train(cluster.ClusterRun(1, 32, seed=0), SMALL_SPECS, ds, hp)
+            cluster.train(SMALL_SPECS, ds, hp, 1, 0)
 
-    def test_mismatched_batch_rejected(self):
+    def test_indivisible_split_fails_at_the_first_step(self):
         ds = make_dataset(256, seed=5)
-        hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=32)
-        with pytest.raises(ConfigError):
-            cluster.train(cluster.ClusterRun(1, 64, seed=0), SMALL_SPECS, ds, hp)
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(PartitionError, match="batch of 32 not divisible into 3 shards"):
+            cluster.train(SMALL_SPECS, ds, hp, 3, 0)

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from batchlab import cli, config, costmodel, data, nn, optim, runner
-from batchlab.errors import ConfigError
+from batchlab import cli, cluster, config, costmodel, data, nn, optim, runner
+from batchlab.errors import ConfigError, PartitionError
 from conftest import MLP_SPECS
 
 REQUIRED_ONLY = """[network]
@@ -87,6 +88,10 @@ class TestConfigFormat:
         parsed = config.parse_config(path)
         assert parsed == cfg
 
+    def test_indivisible_split_is_a_partition_error(self, tmp_path):
+        with pytest.raises(PartitionError, match="global batch 10 not divisible by 4 workers"):
+            spirals_cfg(tmp_path, batch_size=10, workers=4)
+
     def test_round_trip_is_textually_stable(self, tmp_path):
         cfg = spirals_cfg(tmp_path)
         text = config.write_config_string(cfg)
@@ -161,8 +166,11 @@ class TestConfigFormat:
         (("gamma = 9e-14", "gamma = inf"), "need gamma > 0 seconds per flop, got inf"),
         (("seed = 1\n", "seed = 1\nnoise = nan\n"), "need a finite dataset noise >= 0, got nan"),
         (("seed = 1\n", "seed = 1\nnoise = -0.2\n"), "need a finite dataset noise >= 0, got -0.2"),
+        (("workers = 1\n", "workers = 0\n"), "need at least one worker"),
+        (("workers = 1\n", "workers = 3\n"), "global batch 32 not divisible by 3 workers"),
     ], ids=["stray-images", "stray-n", "kind", "cost-network", "cost-gamma", "lars-skip",
-            "cluster-seed", "dataset-seed", "gamma-inf", "noise-nan", "noise-negative"])
+            "cluster-seed", "dataset-seed", "gamma-inf", "noise-nan", "noise-negative",
+            "no-workers", "indivisible-workers"])
     def test_ignored_or_invalid_value_is_config_error(self, tmp_path, edit, message):
         text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
         assert edit[0] in text
@@ -238,6 +246,18 @@ class TestRunExperiment:
             meta, _ = runner.read_csv(res.out_dir / name)
             assert meta["run.leaf_block"] == "4"
             assert meta["run.bitwise_invariant"] == flag
+
+    def test_numpy_scalar_cells_read_back_as_numbers(self, tmp_path):
+        row = cluster.LogRow(epoch=0, iteration=np.int64(1), lr=0.1, loss=np.float64(0.5),
+                             train_acc=0.25, test_acc=float("nan"), lambda_min=1.0,
+                             lambda_med=1.0, lambda_max=1.0, wall_ms=0.0)
+        columns = runner._columns(cluster.LogRow)
+        runner._write_csv(tmp_path / "log.csv", [], columns, [runner._record_row(row, columns)])
+        _, (back,) = runner.read_csv(tmp_path / "log.csv")
+        assert int(back["iteration"]) == 1 and float(back["loss"]) == 0.5
+        # cells of Python values keep their bytes
+        assert (back["iteration"], back["loss"], back["lr"], back["test_acc"]) == (
+            "1", "0.5", "0.1", "nan")
 
     def test_profile_counts_the_built_parameters(self):
         profile = runner.network_profile(MLP_SPECS)
@@ -366,13 +386,27 @@ class TestCli:
         (1, 1, "training-mode statistics need a batch of >= 2"),
     ], ids=["indivisible-batch", "batchnorm-batch-of-one"])
     def test_unrunnable_batch_exit_code(self, tmp_path, capsys, batch_size, workers, message):
+        # written as text: an ExperimentConfig refuses an indivisible split
         path = tmp_path / "batch.cfg"
-        config.write_config(spirals_cfg(tmp_path, batch_size=batch_size, workers=workers), path)
+        text = config.write_config_string(spirals_cfg(tmp_path))
+        assert "batch_size = 32\n" in text and "workers = 1\n" in text
+        path.write_text(text.replace("batch_size = 32\n", f"batch_size = {batch_size}\n")
+                        .replace("workers = 1\n", f"workers = {workers}\n"))
         code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
         assert code == runner.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    def test_nonfinite_batchnorm_eps_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "eps.cfg"
+        text = config.write_config_string(spirals_cfg(tmp_path))
+        assert "batchnorm, relu" in text
+        path.write_text(text.replace("batchnorm, relu", "batchnorm nan, relu"))
+        code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
+        assert code == runner.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert "layer 1: batchnorm eps must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         ("network = mellanox_fdr", "network = mellanox_fbr"),
@@ -384,8 +418,11 @@ class TestCli:
         ("gamma = 9e-14", "gamma = inf"),
         ("seed = 1\n", "seed = 1\nnoise = nan\n"),
         ("seed = 1\n", "seed = 1\nnoise = -0.2\n"),
+        ("workers = 1\n", "workers = 0\n"),
+        ("workers = 1\n", "workers = 3\n"),
     ], ids=["cost-network", "cost-gamma", "lars-skip", "stray-key", "cluster-seed",
-            "dataset-seed", "gamma-inf", "noise-nan", "noise-negative"])
+            "dataset-seed", "gamma-inf", "noise-nan", "noise-negative", "no-workers",
+            "indivisible-workers"])
     def test_rejected_config_writes_no_output(self, tmp_path, monkeypatch, edit):
         monkeypatch.setattr(runner, "run_experiment", lambda *a: pytest.fail("config accepted"))
         path = tmp_path / "bad.cfg"

@@ -76,6 +76,12 @@ class TestInit:
         with pytest.raises(ConfigError, match="0->1"):
             nn.init_network(specs, 0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf])
+    def test_batchnorm_eps_must_be_finite_and_positive(self, eps):
+        specs = [nn.dense(2, 4), nn.batchnorm(eps), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
+        with pytest.raises(ConfigError, match="layer 1: batchnorm eps must be finite and positive"):
+            nn.init_network(specs, 0)
+
     def test_must_end_in_loss_layer(self):
         with pytest.raises(ConfigError, match="softmax-xent"):
             nn.init_network([nn.dense(2, 3)], 0)
