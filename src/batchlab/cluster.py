@@ -108,9 +108,12 @@ def train(specs, dataset, hp, workers, seed):
     into that step's `test_acc` (nan for an empty test split).  A
     non-finite forward, loss or update ends the run with a divergence record
     instead of raising; an evaluation that overflows after k steps records
-    `diverged@<k> layer <i>`.  A batch that `workers` does not divide raises
+    `diverged@<k> layer <i>`.  Fewer than one worker is a ConfigError, as in
+    the config, and a batch that `workers` does not divide raises
     PartitionError at the first step.
     """
+    if workers < 1:
+        raise ConfigError("need at least one worker")
     net = nn.init_network(specs, seed)
     train_x, train_y = nn.check_batch(net, dataset.train_x, dataset.train_y)
     test_x, test_y = nn.check_batch(net, dataset.test_x, dataset.test_y)

@@ -12,15 +12,20 @@ that is the single-worker tree, so both runs perform bit-identical arithmetic
 (batch-norm statistics are computed over the *global* batch, sync-BN style).
 A training step carries the batch with each worker's rows in
 `reduction.tree_order` (:func:`_tree_layout`), so that every batch sum,
-the whole parameter gradient among them, is one in-place
-`reduction.tree_sum` over contiguous halves; the layout changes which rows
-are stored where, not which rows are added.
+the whole parameter gradient among them, runs the in-place levels of
+`reduction.tree_levels` over contiguous halves, then
+`reduction.stride_levels` across the workers; the layout changes which
+rows are stored where, not which rows are added.  Those levels and every
+other view a step uses are built once per (B, P), in the step plan kept on
+the Network.  A step checks its loss once, and the layer walk reruns with
+a check per layer only to name the layer at which a non-finite step
+overflowed.
 """
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +35,16 @@ from .errors import (
     NumericOverflowError,
     PartitionError,
 )
-from .reduction import tree_order, tree_reduce, tree_sum
+# A step runs prebuilt levels and calls neither tree_sum nor tree_reduce, but
+# nn keeps both names: bench/spans.py traces the engine's batch sums through them.
+from .reduction import (  # noqa: F401
+    run_levels,
+    stride_levels,
+    tree_levels,
+    tree_order,
+    tree_reduce,
+    tree_sum,
+)
 
 DENSE = "dense"
 BATCHNORM = "batchnorm"
@@ -129,10 +143,11 @@ class ParamSet:
 class Network:
     """Layer stack plus its ParamSet, batch-norm running statistics and step workspace.
 
-    The workspace holds the arrays a training step writes, keyed by (role,
-    shape, dtype).  It starts empty; the first step of each batch shape fills
-    it and later steps of that shape reuse its arrays, so a step allocates no
-    batch-sized array.
+    The workspace holds the float64 arrays a training step writes, keyed by
+    (role, shape), and `plans` the step plan of each (B, P) split, the views
+    of those arrays that a step uses.  Both start empty; the first step of
+    each split fills them and later steps reuse them, so a step allocates no
+    batch-sized array and builds no view.
     """
 
     def __init__(self, specs, params, bn_state, layer_groups, input_dim, num_classes):
@@ -143,13 +158,14 @@ class Network:
         self.input_dim = input_dim
         self.num_classes = num_classes
         self.workspace = {}
+        self.plans = {}  # (B, P) -> step plan, see nn._step_plan
 
-    def buffer(self, role, shape, dtype=np.float64):
-        """The workspace array for (role, shape, dtype), created on first use."""
-        key = (role, shape, dtype)
+    def buffer(self, role, shape):
+        """The float64 workspace array for (role, shape), created on first use."""
+        key = (role, shape)
         buf = self.workspace.get(key)
         if buf is None:
-            buf = self.workspace[key] = np.empty(shape, dtype)
+            buf = self.workspace[key] = np.empty(shape)
         return buf
 
     def checksum(self):
@@ -213,11 +229,6 @@ def init_network(specs, seed):
 # sharded forward / backward engine
 # ---------------------------------------------------------------------------
 
-def _check_finite(arr, layer_index):
-    if not np.all(np.isfinite(arr)):
-        raise NumericOverflowError(layer_index)
-
-
 def leaf_block(batch):
     """Rows per dense GEMM block for a global batch of `batch`: max(1, lowbit(B) // 32).
 
@@ -237,86 +248,188 @@ def bitwise_invariant(batch, shards):
     return shards == 1 or ((local & (local - 1)) == 0 and local % leaf_block(batch) == 0)
 
 
-def _fresh(role, shape, dtype=np.float64):
-    return np.empty(shape, dtype)
+def _fresh(role, shape):
+    return np.empty(shape)
 
 
-def _forward(net, a, blocks, alloc, shard_sums=None):
-    """The layer walk that training and evaluation share; returns (logits, records).
+def _layer_views(net, x, blocks, alloc, grad=None):
+    """Per layer, the arrays and views the layer walk over the batch `x` uses.
 
-    `blocks(v)` shapes a dense layer's input for its GEMM, and `alloc(role,
-    shape, dtype)` supplies each array the walk writes.  Only dense layers
-    take new arrays for their outputs: batch norm writes its output over its
-    input and relu multiplies in place, so the input `a` is never written,
-    the first layer being dense.  With `shard_sums` (training), batch norm uses
-    the batch statistics reduced over the shard trees (`shard_sums(v)` sums
-    v in place into its (P, ...) per-shard sums), folds them into the
-    running statistics `net.bn_state`, and `records[i]` holds what the backward
-    needs of layer i; without it (evaluation), batch norm reads `net.bn_state`
-    and nothing is recorded.
+    `blocks(v)` shapes a dense layer's input or output for its GEMM, and
+    `alloc(role, shape)` supplies each array the walk writes.  Layer i's
+    views hold in `a` the array it reads.  Only dense layers take new arrays
+    for their outputs: batch norm writes its output over its input and relu
+    multiplies it in place by a float 0/1 mask, so `x` is never written, the
+    first layer being dense.  With `grad` (a training step's gradient rows
+    and level builders, see :func:`_step_plan`), batch norm also gets the
+    levels that reduce its batch statistics, and every layer the views its
+    backward uses.
     """
-    n = len(a)
-    records = []
-    keep = records.append if shard_sums else lambda _: None
+    n = len(x)
+    layers = []
+    a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
+        v = SimpleNamespace(a=a)
         if s.kind == DENSE:
             w, b = groups
-            keep(a)
-            out = alloc(("dense", i), (n, s.out_dim))
-            np.matmul(blocks(a), w.param, out=blocks(out))
-            a = out
-            a += b.param
-            _check_finite(a, i)
+            v.weight, v.bias = w.param, b.param
+            v.out = a = alloc(("dense", i), (n, s.out_dim))
+            v.a_blocks, v.out_blocks = blocks(v.a), blocks(v.out)
         elif s.kind == RELU:
-            mask = np.greater(a, 0, out=alloc(("relu", i), a.shape, np.bool_))
-            keep(mask)
-            a *= mask
+            v.mask = alloc(("relu", i), a.shape)
         elif s.kind == BATCHNORM:
             scale, shift = groups
-            st = net.bn_state[i]
-            xhat = alloc(("batchnorm", i), a.shape)
-            if shard_sums:
-                if n < 2:
-                    raise DegenerateBatchError(
-                        f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
-                    )
-                # one tree over the stacked [a, a*a]
-                stats = alloc("bnsums", (n, 2, a.shape[1]))
-                stats[:, 0] = a
-                np.multiply(a, a, out=stats[:, 1])
-                mean, sq_mean = tree_reduce(list(shard_sums(stats))) / n
-                var = np.maximum(sq_mean - mean * mean, 0.0)
+            v.scale, v.shift = scale.param, shift.param
+            v.xhat = alloc(("batchnorm", i), a.shape)
+            v.inv = alloc(("bninv", i), a.shape[1:])
+        layers.append(v)
+        if grad is None:
+            continue
+        part, block_levels, shard_levels = grad
+        if s.kind == DENSE:
+            v.a_blocks_t, v.weight_t = v.a_blocks.swapaxes(1, 2), w.param.T
+            v.wpart = part[:, w.span].reshape(-1, s.in_dim, s.out_dim)
+            v.bpart = part[:, b.span]
+            v.bias_levels, v.bias_sums = block_levels(v.out)
+        elif s.kind == BATCHNORM:
+            if n < 2:
+                raise DegenerateBatchError(
+                    f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
+                )
+            # one tree over the stacked [a, a*a] forward and [d * xhat, d]
+            # backward; the latter is laid out like the adjacent scale and
+            # shift spans, and its batch sums give the coupling terms
+            stats = alloc("bnsums", (n, 2, a.shape[1]))
+            v.halves = stats[:, 0], stats[:, 1]
+            v.stat_levels, v.stat_sums = shard_levels(stats)
+            v.means = alloc(("bnmeans", i), (2, a.shape[1]))
+            v.mean_rows = tuple(v.means)
+            v.var = alloc(("bnvar", i), a.shape[1:])
+            v.block_levels, sums = block_levels(stats)
+            v.spart = part[:, scale.span.start:shift.span.stop]
+            v.spart_sums = sums.reshape(len(sums), -1)
+            v.coupling_levels, v.coupling_sums = shard_levels(sums)
+    return layers
+
+
+def _forward(net, plan, check_each=False):
+    """The layer walk that training and evaluation share; returns the logits.
+
+    `plan` holds the input array and each layer's views (:func:`_layer_views`).
+    In a training plan, batch norm uses the batch statistics reduced over the
+    shard trees, left in its `mean_rows` and `var` for the caller to fold
+    into the running statistics `net.bn_state` once the step is known to be
+    finite; in an evaluation plan it reads `net.bn_state`.  The walk checks
+    nothing unless `check_each`: then a layer whose output is not finite
+    raises NumericOverflowError naming it.
+    """
+    a = plan.input
+    for i, (s, v) in enumerate(zip(net.specs, plan.layers)):
+        if s.kind == DENSE:
+            np.matmul(v.a_blocks, v.weight, out=v.out_blocks)
+            a = v.out
+            a += v.bias
+        elif s.kind == RELU:
+            np.greater(a, 0, out=v.mask)
+            a *= v.mask
+        elif s.kind == BATCHNORM:
+            if plan.training:
+                sum_x, sum_xx = v.halves
+                np.copyto(sum_x, a)
+                np.multiply(a, a, out=sum_xx)
+                run_levels(v.stat_levels)
+                np.divide(v.stat_sums, len(a), out=v.means)
+                mean, sq_mean = v.mean_rows
+                var = np.multiply(mean, mean, out=v.var)
+                np.subtract(sq_mean, var, out=var)
+                np.maximum(var, 0.0, out=var)
             else:
+                st = net.bn_state[i]
                 mean, var = st["mean"], st["var"]
-            inv = 1.0 / np.sqrt(var + s.eps)
-            np.subtract(a, mean, out=xhat)
-            xhat *= inv
-            keep((xhat, inv))
-            np.multiply(xhat, scale.param, out=a)
-            a += shift.param
-            _check_finite(a, i)
-            if shard_sums:
-                st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
-                st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
-    _check_finite(a, len(net.specs) - 1)
-    return a, records
+            inv = np.add(var, s.eps, out=v.inv)
+            np.sqrt(inv, out=inv)
+            np.divide(1.0, inv, out=inv)
+            np.subtract(a, mean, out=v.xhat)
+            v.xhat *= inv
+            np.multiply(v.xhat, v.scale, out=a)
+            a += v.shift
+        if check_each and not np.isfinite(a).all():
+            raise NumericOverflowError(i)
+    return a
 
 
-@functools.cache
+def _overflow(net, plan):
+    """The NumericOverflowError of a walk over `plan` that did not end finite.
+
+    The walk reruns with a check after every layer, which names the first
+    layer whose output is not finite; if every layer's is, the loss was not,
+    and the error names the loss layer.
+    """
+    try:
+        _forward(net, plan, check_each=True)
+    except NumericOverflowError as exc:
+        return exc
+    return NumericOverflowError(len(net.specs) - 1)
+
+
 def _tree_layout(n, shards):
     """The row permutation that gathers a batch of `n` rows in `shards` shards into tree order.
 
     With m = n / shards, layout row t*shards + j is batch row
     j*m + tree_order(m)[t]: each shard's rows in `reduction.tree_order`,
     shard-minor, so that a (m, shards, ...) view of the layout puts each
-    level of every shard's tree in contiguous rows.  Cached per (n, shards);
-    the int permutation stays out of `net.workspace`, which holds a step's
-    float and bool arrays.
+    level of every shard's tree in contiguous rows.
     """
     m = n // shards
-    perm = (np.arange(shards) * m + tree_order(m)[:, None]).reshape(-1)
-    perm.flags.writeable = False
-    return perm
+    return (np.arange(shards) * m + tree_order(m)[:, None]).reshape(-1)
+
+
+def _step_plan(net, n, shards):
+    """Every array and view a training step of `n` rows in `shards` shards uses.
+
+    Built at the first step of that shape and kept in `net.plans`, so that a
+    warm step makes no view and looks up no workspace array.  Every batch
+    sum is a list of in-place steps (`reduction.tree_levels`): within each
+    GEMM block, within each shard, and across the shards, where
+    `reduction.stride_levels` adds `tree_reduce`'s pairs over the P shard
+    sums left in worker order.  The int arrays (the layout and the gathered
+    labels) stay out of `net.workspace`, which holds a step's float arrays.
+    """
+    m = n // shards
+    c = math.gcd(leaf_block(n), m)
+    q = n // c
+
+    def blocks(v):
+        return v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1)
+
+    def block_levels(v):
+        # in place over v: the tree within each block; its (B/c, ...) block sums
+        return tree_levels(v.reshape(c, q, *v.shape[1:]))
+
+    def shard_levels(v):
+        # in place over v: each shard's tree over its rows, then the tree
+        # over the P shard sums; the sum over the whole batch
+        steps, rows = tree_levels(v.reshape(-1, shards, *v.shape[1:]))
+        across, total = stride_levels(rows)
+        return steps + across, total
+
+    buf = net.buffer
+    part = buf("part", (q, net.params.param.size))
+    x = buf("input", (n, net.input_dim))
+    layers = _layer_views(net, x, blocks, buf, (part, block_levels, shard_levels))
+    losses = buf("losses", (n,))
+    loss_levels, loss_sum = shard_levels(losses)
+    grad_levels, grads = tree_levels(part.reshape(-1, shards, part.shape[1]))
+    logits = layers[-1].a  # what the softmax-xent layer reads
+    return SimpleNamespace(
+        training=True, c=c, perm=_tree_layout(n, shards), input=x, layers=layers,
+        batchnorms=[(i, v) for i, (s, v) in enumerate(zip(net.specs, layers))
+                    if s.kind == BATCHNORM],
+        labels=np.empty(n, np.int64), picked=np.empty(n, np.int64),
+        row_starts=np.arange(n) * net.num_classes, probs=logits.reshape(-1),
+        row_buf=buf("softmax", (n, 1)), losses=losses, loss_levels=loss_levels,
+        loss_sum=loss_sum, grad_levels=grad_levels, grads=grads,
+    )
 
 
 def forward_backward_shards(net, x, y, shards):
@@ -325,28 +438,36 @@ def forward_backward_shards(net, x, y, shards):
 
     `x` and `y` are float64 / int64 arrays as :func:`check_batch` returns
     them; `x` is read, never written.  Every layer runs once over the batch,
-    writing every batch-sized array into `net.workspace`.
+    through the views of the step plan of (B, P) (:func:`_step_plan`), built
+    at the first step of that shape; every batch-sized array it writes is in
+    `net.workspace`.
 
     The batch is first gathered into tree order (:func:`_tree_layout`), and
-    every batch sum is one `reduction.tree_sum` over each shard's m = B/P
-    rows: the canonical pairwise tree, whose levels add contiguous rows.
-    The GEMM block c = gcd(leaf_block(B), m) is a power of two dividing m,
-    so the layout is c contiguous slabs of B/c rows, slab r holding row
-    rev_c(r) of every block of c consecutive batch rows (`tree_order(c)` is
-    rev_c).  A block is a strided view of the slabs, so every dense product
-    is still one BLAS GEMM per block, and the first log2(c) levels of a
-    shard's tree are the tree within each block.  The backward writes each
-    block's gradient into one (B/c, |W|) array laid out like
-    `net.params.grad` (a dense layer's x_blk.T @ d_blk and bias block sums,
-    batch norm's block sums of [d * xhat, d]), and one tree over each
-    shard's m/c rows of it gives every shard's gradient.  The per-shard
-    sums of the loss and of batch norm combine with `reduction.tree_reduce`;
-    for power-of-two shard sizes that leaf_block(B) divides, the blocks and
-    trees are those of the whole batch, so results are independent of the
-    shard layout.  Batch-norm statistics and their backward coupling terms
-    are reduced over the global batch this way (sync-BN), and the running
-    statistics are updated once per layer.  An empty batch is a
-    ConfigError, and one that `shards` does not divide a PartitionError.
+    every batch sum runs the levels of the canonical pairwise tree over each
+    shard's m = B/P rows, whose levels add contiguous rows.  The GEMM block
+    c = gcd(leaf_block(B), m) is a power of two dividing m, so the layout is
+    c contiguous slabs of B/c rows, slab r holding row rev_c(r) of every
+    block of c consecutive batch rows (`tree_order(c)` is rev_c).  A block is
+    a strided view of the slabs, so every dense product is still one BLAS
+    GEMM per block, and the first log2(c) levels of a shard's tree are the
+    tree within each block.  The backward writes each block's gradient into
+    one (B/c, |W|) array laid out like `net.params.grad` (a dense layer's
+    x_blk.T @ d_blk and bias block sums, batch norm's block sums of
+    [d * xhat, d]), and one tree over each shard's m/c rows of it gives
+    every shard's gradient.  The per-shard sums of the loss and of batch
+    norm combine with `tree_reduce`'s pairs, in place; for power-of-two
+    shard sizes that leaf_block(B) divides, the blocks and trees are those
+    of the whole batch, so results are independent of the shard layout.
+    Batch-norm statistics and their backward coupling terms are reduced
+    over the global batch this way (sync-BN).
+
+    The walk runs unchecked under `np.errstate`, and one check of the loss
+    sum and the lowest logit (a -inf logit can leave the loss finite) finds
+    a non-finite forward: it raises the NumericOverflowError that names the
+    first layer whose output is not finite (:func:`_overflow`).  Only a
+    finite step folds its batch statistics into the running statistics,
+    once per layer.  An empty batch is a ConfigError, and one that `shards`
+    does not divide a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -359,80 +480,74 @@ def forward_backward_shards(net, x, y, shards):
         raise ConfigError("empty training batch: a step needs at least one example")
     if shards < 1 or n % shards:
         raise PartitionError(f"batch of {n} not divisible into {shards} shards")
-    m = n // shards
-    c = math.gcd(leaf_block(n), m)
-    perm = _tree_layout(n, shards)
-    buf = net.buffer
-
-    def blocks(v):
-        return v.reshape(c, n // c, *v.shape[1:]).swapaxes(0, 1)
-
-    def block_sums(v):
-        # in place over v: the tree within each block; a (B/c, ...) view of v
-        return tree_sum(v.reshape(c, n // c, *v.shape[1:]))
-
-    def shard_sums(v):
-        # in place over v: each shard's tree over its rows; a (P, ...) view of v
-        return tree_sum(v.reshape(-1, shards, *v.shape[1:]))
-
-    y = y[perm]
+    plan = net.plans.get((n, shards))
+    if plan is None:
+        plan = net.plans[n, shards] = _step_plan(net, n, shards)
     # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
-    x = np.take(x, perm, axis=0, out=buf("input", x.shape), mode="clip")
-    a, records = _forward(net, x, blocks, buf, shard_sums)
+    x.take(plan.perm, axis=0, out=plan.input, mode="clip")
+    y = y.take(plan.perm, out=plan.labels, mode="clip")
+    picked = np.add(plan.row_starts, y, out=plan.picked)  # flat index of each row's label
 
-    # terminal softmax cross-entropy, written over the logits
-    p = a
-    np.subtract(p, p.max(axis=1, keepdims=True), out=p)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    idx = np.arange(n)
-    with np.errstate(divide="ignore"):  # p == 0 gives inf, caught just below
-        losses = -np.log(p[idx, y])
-    _check_finite(losses, len(net.specs) - 1)
-    loss_sum = float(tree_reduce(list(shard_sums(losses))))
+    with np.errstate(all="ignore"):  # a non-finite forward raises below instead
+        p = _forward(net, plan)
+        lowest = p.min()
+        # terminal softmax cross-entropy, written over the logits
+        row = plan.row_buf
+        np.maximum.reduce(p, axis=1, out=row, keepdims=True)
+        np.subtract(p, row, out=p)
+        np.exp(p, out=p)
+        np.add.reduce(p, axis=1, out=row, keepdims=True)
+        p /= row
+        losses = plan.probs.take(picked, out=plan.losses)
+        np.log(losses, out=losses)
+        np.negative(losses, out=losses)
+        run_levels(plan.loss_levels)
+        loss_sum = float(plan.loss_sum[0])
+        if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
+            raise _overflow(net, plan)
+    for i, v in plan.batchnorms:
+        st = net.bn_state[i]
+        st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * v.mean_rows[0]
+        st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * v.var
     correct = int(np.count_nonzero(p.argmax(axis=1) == y))
 
-    # backward, sum convention.  Row r of `part` holds block r's gradient,
-    # laid out like net.params.grad.  Each dense layer's input gradient is
-    # written over its input record, which is spent once the weight
-    # gradient is taken, and its bias block sums over d, spent after that.
-    part = buf("part", (n // c, net.params.param.size))
+    # backward, sum convention.  Row r of the plan's gradient rows holds
+    # block r's gradient, laid out like net.params.grad.  Each dense layer's
+    # input gradient is written over its input, which is spent once the
+    # weight gradient is taken, and its bias block sums over d, spent after that.
     d = p
-    d[idx, y] -= 1.0  # softmax minus one-hot
+    plan.probs[picked] -= 1.0  # softmax minus one-hot
     for i in range(len(net.specs) - 2, -1, -1):
-        s, rec = net.specs[i], records[i]
-        if s.kind == DENSE:
-            w, b = net.layer_groups[i]
-            # a block's weight partial is x_blk.T @ d_blk, rank one at c == 1
-            wpart = part[:, w.span].reshape(n // c, s.in_dim, s.out_dim)
-            if c == 1:
-                np.einsum("bi,bj->bij", rec, d, out=wpart)
+        s, v = net.specs[i], plan.layers[i]
+        if s.kind == DENSE:  # d is v.out
+            # a block's weight partial is a_blk.T @ d_blk, rank one at c == 1
+            if plan.c == 1:
+                np.einsum("bi,bj->bij", v.a, d, out=v.wpart)
             else:
-                np.matmul(blocks(rec).swapaxes(1, 2), blocks(d), out=wpart)
+                np.matmul(v.a_blocks_t, v.out_blocks, out=v.wpart)
             if i > 0:  # nothing uses the gradient of the network's input
-                np.matmul(blocks(d), w.param.T, out=blocks(rec))
-            part[:, b.span] = block_sums(d)
-            d = rec
+                np.matmul(v.out_blocks, v.weight_t, out=v.a_blocks)
+            run_levels(v.bias_levels)
+            np.copyto(v.bpart, v.bias_sums)
+            d = v.a
         elif s.kind == RELU:
-            d *= rec
+            d *= v.mask
         elif s.kind == BATCHNORM:
-            scale, shift = net.layer_groups[i]
-            xhat, inv = rec
-            # the stacked [d * xhat, d] is laid out like the adjacent scale
-            # and shift spans; its shard sums give the coupling terms
-            stats = buf("bnsums", (n, 2, d.shape[1]))
-            np.multiply(d, xhat, out=stats[:, 0])
-            stats[:, 1] = d
-            sums = block_sums(stats)
-            part[:, scale.span.start:shift.span.stop] = sums.reshape(n // c, -1)
-            mean_t2, mean_t1 = tree_reduce(list(shard_sums(sums))) / n
+            d_xhat, d_copy = v.halves
+            np.multiply(d, v.xhat, out=d_xhat)
+            np.copyto(d_copy, d)
+            run_levels(v.block_levels)
+            np.copyto(v.spart, v.spart_sums)
+            run_levels(v.coupling_levels)
+            np.divide(v.coupling_sums, n, out=v.means)
+            mean_t2, mean_t1 = v.mean_rows
             # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place;
-            # xhat is spent after this
+            # xhat and inv are spent after this
             d -= mean_t1
-            d -= np.multiply(xhat, mean_t2, out=xhat)
-            d *= scale.param * inv
-    grads = shard_sums(part)
-    return loss_sum, correct, grads
+            d -= np.multiply(v.xhat, mean_t2, out=v.xhat)
+            d *= np.multiply(v.scale, v.inv, out=v.inv)
+    run_levels(plan.grad_levels)
+    return loss_sum, correct, plan.grads
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +592,19 @@ def loss_and_grad(net, inputs, labels):
 
 def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
-    statistics and each dense layer as one GEMM over all of `inputs`."""
-    return _forward(net, np.asarray(inputs, dtype=np.float64), lambda v: v, _fresh)[0]
+    statistics and each dense layer as one GEMM over all of `inputs`.
+
+    Only the logits are checked; if they are not finite, the
+    NumericOverflowError names the first layer whose output is not.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    plan = SimpleNamespace(training=False, input=x,
+                           layers=_layer_views(net, x, lambda v: v, _fresh))
+    with np.errstate(all="ignore"):
+        logits = _forward(net, plan)
+        if not np.isfinite(logits).all():
+            raise _overflow(net, plan)
+    return logits
 
 
 EVAL_ROWS = 64  # test rows per evaluation GEMM

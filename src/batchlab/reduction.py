@@ -12,7 +12,15 @@ power of two, a P-worker reduction reproduces the 1-worker sum bit for bit.
 :func:`tree_sum` adds the same pairs in place over the rows of an array
 laid out in :func:`tree_order`, the generalized bit-reversal of the in-place
 FFT, under which a level adds the second half of the live rows to the first.
+:func:`stride_levels` adds them in place over rows left in list order, a
+level adding row (2i+1)*s into row 2i*s.  :func:`tree_levels` and
+:func:`stride_levels` state such a sum as a fixed list of in-place steps
+over views of the summands, so a caller that sums the same arrays every
+step builds the list once and runs it with :func:`run_levels`;
+:func:`tree_sum` builds one and runs it at once.
 """
+
+import functools
 
 import numpy as np
 
@@ -34,6 +42,61 @@ def tree_order(k):
     return np.concatenate([pairs, pairs + 1, np.arange(2 * h, k)])
 
 
+def _total(values):
+    # the view the sum is left in; row 0 of a 1-D array would be a scalar
+    # copied when the list is built, so a 1-D sum is left in values[:1]
+    return values[0] if values.ndim > 1 else values[:1]
+
+
+def tree_levels(values):
+    """:func:`tree_sum`'s steps over `values`, built once: (steps, total).
+
+    `steps` is a list of in-place steps over views of `values`: a level of
+    k rows is ``np.add(values[:h], values[h:2h], out=values[:h])``, h = k // 2,
+    and an odd last row is then copied to row h.  After
+    ``run_levels(steps)``, `total` is a view of row 0 holding the sum.
+    """
+    steps = []
+    k = len(values)
+    while k > 1:
+        h = k // 2
+        steps.append(functools.partial(np.add, values[:h], values[h:2 * h], values[:h]))
+        if k % 2:
+            steps.append(functools.partial(np.copyto, values[h:h + 1], values[k - 1:k]))
+        k = h + k % 2
+    return steps, _total(values)
+
+
+def stride_levels(rows):
+    """:func:`tree_reduce`'s pairs over the rows of `rows`, in place: (steps, total).
+
+    Level l adds rows s, 3s, 5s, ... into rows 0, 2s, 4s, ..., s = 2**l,
+    and an odd last live row stays where it is, live at the next level:
+    ``run_levels(steps)`` gives `total` the bits of
+    ``tree_reduce(list(rows))`` in ceil(log2 k) strided adds for k rows.
+    `total` is a view of row 0.
+    """
+    steps = []
+    s = 1
+    while s < len(rows):
+        live = rows[::s]
+        h = len(live) // 2
+        steps.append(functools.partial(np.add, live[0:2 * h:2], live[1:2 * h:2], live[0:2 * h:2]))
+        s *= 2
+    return steps, _total(rows)
+
+
+def run_levels(steps):
+    """Run a list of in-place steps from :func:`tree_levels` or :func:`stride_levels`.
+
+    A step is a `functools.partial` of ``np.add(dst, src, dst)`` (its `out`
+    passed by position, which halves the call's cost against a keyword) or
+    of ``np.copyto(dst, src)``.
+    """
+    for step in steps:
+        step()
+
+
 def tree_sum(values):
     """Sum an ndarray over axis 0 in place with the pairwise tree, rows in `tree_order(k)`.
 
@@ -43,13 +106,7 @@ def tree_sum(values):
     addition reads and writes whole contiguous halves.  `values` is
     consumed: the sum is left in its row 0, and `values[0]` is returned.
     """
-    k = len(values)
-    while k > 1:
-        h = k // 2
-        np.add(values[:h], values[h:2 * h], out=values[:h])
-        if k % 2:
-            values[h] = values[k - 1]
-        k = h + k % 2
+    run_levels(tree_levels(values)[0])
     return values[0]
 
 

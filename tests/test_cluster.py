@@ -263,6 +263,24 @@ class TestWorkspace:
             assert net.checksum() == fresh.checksum()
         assert len({key[1] for key in net.workspace if key[0] == ("dense", 0)}) == 2
 
+    def test_each_split_builds_its_plan_once(self, spirals):
+        # A step plan per (B, P) split, built at its first step: later steps
+        # of that split reuse the plan and every workspace array, new ones
+        # included, so a warm step makes no view and allocates no array.
+        net = nn.init_network(MLP_SPECS, 4)
+        x, y = spirals.train_x, spirals.train_y
+        splits = [(256, 16), (64, 4)]
+        for B, P in splits:
+            lars_step(net, P, x[:B], y[:B])
+        plans, arrays = dict(net.plans), dict(net.workspace)
+        assert list(plans) == splits
+        for B, P in splits * 2:
+            lars_step(net, P, x[B:2 * B], y[B:2 * B])
+            assert net.plans.keys() == plans.keys()
+            assert all(net.plans[key] is plan for key, plan in plans.items())
+            assert net.workspace.keys() == arrays.keys()
+            assert all(net.workspace[key] is arr for key, arr in arrays.items())
+
     @pytest.mark.parametrize("B, P", [(256, 16), (512, 1), (32, 1)])
     def test_a_warm_step_allocates_no_batch_sized_array(self, spirals, B, P):
         net = nn.init_network(MLP_SPECS, 4)
@@ -386,6 +404,14 @@ class TestTrain:
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=re.escape(f"labels of shape ({n_labels},) for 256")):
             cluster.train(SMALL_SPECS, ds, hp, 1, 0)
+
+    def test_zero_workers_is_the_config_error(self, monkeypatch):
+        # the config's own message, before any worker record is made
+        monkeypatch.setattr(cluster, "make_workers", lambda *a: pytest.fail("made workers"))
+        ds = make_dataset(256, seed=5)
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(ConfigError, match="^need at least one worker$"):
+            cluster.train(SMALL_SPECS, ds, hp, 0, 0)
 
     def test_indivisible_split_fails_at_the_first_step(self):
         ds = make_dataset(256, seed=5)

@@ -145,6 +145,19 @@ class TestForwardLoss:
             nn.loss_and_grad(small_net, x, y)
         assert exc.value.layer_index == 3
 
+    def test_failed_step_leaves_the_network_untouched(self, small_net):
+        # The step checks its loss once and names the layer by rerunning the
+        # walk; neither may warn, and no running statistic may be folded in.
+        small_net.params["dense3.weight"].param[:] = np.inf
+        before = small_net.checksum()
+        x, y = random_batch(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as exc:
+                nn.loss_and_grad(small_net, x, y)
+        assert exc.value.layer_index == 3
+        assert small_net.checksum() == before
+
 
 class TestBackward:
     @pytest.mark.parametrize("seed", range(10))

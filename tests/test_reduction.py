@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from batchlab.reduction import tree_order, tree_reduce, tree_sum
+from batchlab.reduction import run_levels, stride_levels, tree_order, tree_reduce, tree_sum
 
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, width=64)
 
@@ -64,3 +64,20 @@ def test_tree_order_splits_into_bit_reversed_slabs(log_c, q):
     c = 2 ** log_c
     slabs = tree_order(c * q).reshape(c, q)
     assert np.array_equal(slabs, c * tree_order(q) + tree_order(c)[:, None])
+
+
+@given(summands())
+def test_strided_levels_over_rows_in_list_order_match_the_pairwise_tree(values):
+    # The engine combines the P per-shard sums, left in worker order, with
+    # stride_levels: built once, then run in place every step.  The pairs,
+    # and so the bits, must be tree_reduce's, and the total must be a view
+    # that the run fills, also for a 1-D array, whose row 0 is a scalar.
+    expected = tree_reduce(list(values)).tobytes()
+    rows = np.full_like(values, np.nan)
+    steps, total = stride_levels(rows)
+    assert len(steps) == (len(rows) - 1).bit_length()  # ceil(log2 rows) levels
+    rows[...] = values  # the summands arrive after the build
+    run_levels(steps)
+    assert total.tobytes() == expected
+    assert total.shape == (values.shape[1:] or (1,))
+    assert np.shares_memory(total, rows[:1])
