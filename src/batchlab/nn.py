@@ -15,16 +15,23 @@ A training step carries the batch with each worker's rows in
 the whole parameter gradient among them, runs the in-place levels of
 `reduction.tree_levels` over contiguous halves, then
 `reduction.stride_levels` across the workers; the layout changes which
-rows are stored where, not which rows are added.  Those levels and every
-other view a step uses are built once per (B, P), in the step plan kept on
-the Network.  A step checks its loss once, and the layer walk reruns with
-a check per layer only to name the layer at which a non-finite step
+rows are stored where, not which rows are added.
+
+Each layer kind is written once, in :func:`_layer_calls`, which builds a
+layer's forward calls, its backward calls and its batch-norm fold entry as
+`functools.partial`s over the layer's arrays.  A training step runs the
+calls of the step plan built once per (B, P) and kept on the Network: each
+layer's forward list, the inline softmax cross-entropy loss, then one
+backward list.  Evaluation builds its calls per call, on the running
+statistics.  A step checks its loss once, and the forward reruns with a
+check per layer only to name the layer at which a non-finite step
 overflowed.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,8 +151,8 @@ class Network:
     """Layer stack plus its ParamSet, batch-norm running statistics and step workspace.
 
     The workspace holds the float64 arrays a training step writes, keyed by
-    (role, shape), and `plans` the step plan of each (B, P) split, the views
-    of those arrays that a step uses.  Both start empty; the first step of
+    (role, shape), and `plans` the step plan of each (B, P) split, the calls
+    over those arrays that a step makes.  Both start empty; the first step of
     each split fills them and later steps reuse them, so a step allocates no
     batch-sized array and builds no view.
     """
@@ -248,128 +255,127 @@ def bitwise_invariant(batch, shards):
     return shards == 1 or ((local & (local - 1)) == 0 and local % leaf_block(batch) == 0)
 
 
-def _fresh(role, shape):
-    return np.empty(shape)
-
-
-def _layer_views(net, x, blocks, alloc, grad=None):
-    """Per layer, the arrays and views the layer walk over the batch `x` uses.
+def _layer_calls(net, x, blocks, alloc, grad=None):
+    """The calls of a layer walk over the batch `x`: (layers, backward, folds).
 
     `blocks(v)` shapes a dense layer's input or output for its GEMM, and
-    `alloc(role, shape)` supplies each array the walk writes.  Layer i's
-    views hold in `a` the array it reads.  Only dense layers take new arrays
-    for their outputs: batch norm writes its output over its input and relu
-    multiplies it in place by a float 0/1 mask, so `x` is never written, the
-    first layer being dense.  With `grad` (a training step's gradient rows
-    and level builders, see :func:`_step_plan`), batch norm also gets the
-    levels that reduce its batch statistics, and every layer the views its
-    backward uses.
+    `alloc(role, shape)` supplies each array the walk writes.  `layers` holds
+    per layer (its forward calls, the array its output lands in), each call a
+    `functools.partial` over those arrays that `reduction.run_levels` runs.
+    Only dense layers take new arrays for their outputs: batch norm writes
+    its output over its input and relu multiplies it in place by a float 0/1
+    mask, so `x` is never written, the first layer being dense.
+
+    Without `grad`, batch norm reads the running statistics `net.bn_state`
+    as they are now, and `backward` and `folds` are empty.  With `grad`, a
+    training step's (c, gradient rows, block levels, shard levels) (see
+    :func:`_step_plan`), batch norm reduces its batch statistics over the
+    global batch, and `folds` holds per batch-norm layer (index, batch mean,
+    batch variance).  `backward` then runs the layers last first; the
+    gradient of a layer's output is the array its output landed in, and a
+    dense layer writes its input gradient over its input.
     """
     n = len(x)
-    layers = []
+    if grad is not None:
+        c, part, block_levels, shard_levels = grad
+    layers, backward, folds = [], [], []
     a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
-        v = SimpleNamespace(a=a)
+        fwd, bwd = [], []
         if s.kind == DENSE:
             w, b = groups
-            v.weight, v.bias = w.param, b.param
-            v.out = a = alloc(("dense", i), (n, s.out_dim))
-            v.a_blocks, v.out_blocks = blocks(v.a), blocks(v.out)
+            out = alloc(("dense", i), (n, s.out_dim))
+            a_blocks, out_blocks = blocks(a), blocks(out)
+            fwd = [partial(np.matmul, a_blocks, w.param, out=out_blocks),
+                   partial(np.add, out, b.param, out)]
+            if grad is not None:
+                # a block's weight partial is a_blk.T @ d_blk, rank one at c == 1
+                wpart = part[:, w.span].reshape(-1, s.in_dim, s.out_dim)
+                bwd = [partial(np.einsum, "bi,bj->bij", a, out, out=wpart) if c == 1
+                       else partial(np.matmul, a_blocks.swapaxes(1, 2), out_blocks, out=wpart)]
+                if i > 0:  # nothing uses the gradient of the network's input
+                    bwd.append(partial(np.matmul, out_blocks, w.param.T, out=a_blocks))
+                # the bias block sums, over d once the input gradient has read it
+                bias_levels, bias_sums = block_levels(out)
+                bwd += [*bias_levels, partial(np.copyto, part[:, b.span], bias_sums)]
+            a = out
         elif s.kind == RELU:
-            v.mask = alloc(("relu", i), a.shape)
+            mask = alloc(("relu", i), a.shape)
+            fwd = [partial(np.greater, a, 0, mask), partial(np.multiply, a, mask, a)]
+            bwd = fwd[1:]  # d *= mask: relu's gradient, like its output, is `a`
         elif s.kind == BATCHNORM:
             scale, shift = groups
-            v.scale, v.shift = scale.param, shift.param
-            v.xhat = alloc(("batchnorm", i), a.shape)
-            v.inv = alloc(("bninv", i), a.shape[1:])
-        layers.append(v)
-        if grad is None:
-            continue
-        part, block_levels, shard_levels = grad
-        if s.kind == DENSE:
-            v.a_blocks_t, v.weight_t = v.a_blocks.swapaxes(1, 2), w.param.T
-            v.wpart = part[:, w.span].reshape(-1, s.in_dim, s.out_dim)
-            v.bpart = part[:, b.span]
-            v.bias_levels, v.bias_sums = block_levels(v.out)
-        elif s.kind == BATCHNORM:
-            if n < 2:
-                raise DegenerateBatchError(
-                    f"batchnorm layer {i}: training-mode statistics need a batch of >= 2"
-                )
-            # one tree over the stacked [a, a*a] forward and [d * xhat, d]
-            # backward; the latter is laid out like the adjacent scale and
-            # shift spans, and its batch sums give the coupling terms
-            stats = alloc("bnsums", (n, 2, a.shape[1]))
-            v.halves = stats[:, 0], stats[:, 1]
-            v.stat_levels, v.stat_sums = shard_levels(stats)
-            v.means = alloc(("bnmeans", i), (2, a.shape[1]))
-            v.mean_rows = tuple(v.means)
-            v.var = alloc(("bnvar", i), a.shape[1:])
-            v.block_levels, sums = block_levels(stats)
-            v.spart = part[:, scale.span.start:shift.span.stop]
-            v.spart_sums = sums.reshape(len(sums), -1)
-            v.coupling_levels, v.coupling_sums = shard_levels(sums)
-    return layers
-
-
-def _forward(net, plan, check_each=False):
-    """The layer walk that training and evaluation share; returns the logits.
-
-    `plan` holds the input array and each layer's views (:func:`_layer_views`).
-    In a training plan, batch norm uses the batch statistics reduced over the
-    shard trees, left in its `mean_rows` and `var` for the caller to fold
-    into the running statistics `net.bn_state` once the step is known to be
-    finite; in an evaluation plan it reads `net.bn_state`.  The walk checks
-    nothing unless `check_each`: then a layer whose output is not finite
-    raises NumericOverflowError naming it.
-    """
-    a = plan.input
-    for i, (s, v) in enumerate(zip(net.specs, plan.layers)):
-        if s.kind == DENSE:
-            np.matmul(v.a_blocks, v.weight, out=v.out_blocks)
-            a = v.out
-            a += v.bias
-        elif s.kind == RELU:
-            np.greater(a, 0, out=v.mask)
-            a *= v.mask
-        elif s.kind == BATCHNORM:
-            if plan.training:
-                sum_x, sum_xx = v.halves
-                np.copyto(sum_x, a)
-                np.multiply(a, a, out=sum_xx)
-                run_levels(v.stat_levels)
-                np.divide(v.stat_sums, len(a), out=v.means)
-                mean, sq_mean = v.mean_rows
-                var = np.multiply(mean, mean, out=v.var)
-                np.subtract(sq_mean, var, out=var)
-                np.maximum(var, 0.0, out=var)
+            xhat = alloc(("batchnorm", i), a.shape)
+            inv = alloc(("bninv", i), a.shape[1:])
+            if grad is None:
+                mean, var = net.bn_state[i]["mean"], net.bn_state[i]["var"]
             else:
-                st = net.bn_state[i]
-                mean, var = st["mean"], st["var"]
-            inv = np.add(var, s.eps, out=v.inv)
-            np.sqrt(inv, out=inv)
-            np.divide(1.0, inv, out=inv)
-            np.subtract(a, mean, out=v.xhat)
-            v.xhat *= inv
-            np.multiply(v.xhat, v.scale, out=a)
-            a += v.shift
-        if check_each and not np.isfinite(a).all():
+                if n < 2:
+                    raise DegenerateBatchError(f"batchnorm layer {i}: training-mode "
+                                               "statistics need a batch of >= 2")
+                # one tree over the stacked [a, a*a] forward and [d * xhat, d]
+                # backward; the latter is laid out like the adjacent scale and
+                # shift spans, and its batch sums give the coupling terms
+                stats = alloc("bnsums", (n, 2, a.shape[1]))
+                sum_x, sum_xx = stats[:, 0], stats[:, 1]
+                stat_levels, stat_sums = shard_levels(stats)
+                means = alloc(("bnmeans", i), (2, a.shape[1]))
+                mean, sq_mean = means
+                var = alloc(("bnvar", i), a.shape[1:])
+                fwd = [partial(np.copyto, sum_x, a), partial(np.multiply, a, a, sum_xx),
+                       *stat_levels, partial(np.divide, stat_sums, n, means),
+                       partial(np.multiply, mean, mean, var),
+                       partial(np.subtract, sq_mean, var, var),
+                       partial(np.maximum, var, 0.0, out=var)]
+                folds.append((i, mean, var))
+                spart = part[:, scale.span.start:shift.span.stop]
+                spart_levels, sums = block_levels(stats)
+                coupling_levels, coupling_sums = shard_levels(sums)
+                mean_t2, mean_t1 = means
+                # [d * xhat, d] over the halves, then, in place,
+                # d <- scale * inv * (d - mean_t1 - xhat * mean_t2); xhat and
+                # inv are spent after this
+                bwd = [partial(np.multiply, a, xhat, sum_x), partial(np.copyto, sum_xx, a),
+                       *spart_levels, partial(np.copyto, spart, sums.reshape(len(sums), -1)),
+                       *coupling_levels, partial(np.divide, coupling_sums, n, means),
+                       partial(np.subtract, a, mean_t1, a),
+                       partial(np.multiply, xhat, mean_t2, xhat), partial(np.subtract, a, xhat, a),
+                       partial(np.multiply, scale.param, inv, inv),
+                       partial(np.multiply, a, inv, a)]
+            fwd += [partial(np.add, var, s.eps, inv), partial(np.sqrt, inv, inv),
+                    partial(np.divide, 1.0, inv, inv), partial(np.subtract, a, mean, xhat),
+                    partial(np.multiply, xhat, inv, xhat),
+                    partial(np.multiply, xhat, scale.param, a), partial(np.add, a, shift.param, a)]
+        layers.append((fwd, a))
+        backward[:0] = bwd
+    return layers, backward, folds
+
+
+def _forward(layers, check_each=False):
+    """Run a layer walk's forward calls (:func:`_layer_calls`); returns the logits.
+
+    The walk checks nothing unless `check_each`: then a layer whose output
+    is not finite raises NumericOverflowError naming it.
+    """
+    for i, (calls, out) in enumerate(layers):
+        run_levels(calls)
+        if check_each and not np.isfinite(out).all():
             raise NumericOverflowError(i)
-    return a
+    return out
 
 
-def _overflow(net, plan):
-    """The NumericOverflowError of a walk over `plan` that did not end finite.
+def _overflow(layers):
+    """The NumericOverflowError of a forward over `layers` that did not end finite.
 
     The walk reruns with a check after every layer, which names the first
     layer whose output is not finite; if every layer's is, the loss was not,
     and the error names the loss layer.
     """
     try:
-        _forward(net, plan, check_each=True)
+        _forward(layers, check_each=True)
     except NumericOverflowError as exc:
         return exc
-    return NumericOverflowError(len(net.specs) - 1)
+    return NumericOverflowError(len(layers) - 1)
 
 
 def _tree_layout(n, shards):
@@ -385,10 +391,14 @@ def _tree_layout(n, shards):
 
 
 def _step_plan(net, n, shards):
-    """Every array and view a training step of `n` rows in `shards` shards uses.
+    """The prebuilt calls and arrays of a training step of `n` rows in `shards` shards.
 
     Built at the first step of that shape and kept in `net.plans`, so that a
-    warm step makes no view and looks up no workspace array.  Every batch
+    warm step makes no view and looks up no workspace array.  It holds per
+    layer (its forward calls, its output array), one backward list (the
+    layers last first, then the tree over the gradient rows) and the
+    batch-norm folds, all from :func:`_layer_calls`, and the arrays and
+    levels of the loss, which the step computes inline.  Every batch
     sum is a list of in-place steps (`reduction.tree_levels`): within each
     GEMM block, within each shard, and across the shards, where
     `reduction.stride_levels` adds `tree_reduce`'s pairs over the P shard
@@ -416,19 +426,19 @@ def _step_plan(net, n, shards):
     buf = net.buffer
     part = buf("part", (q, net.params.param.size))
     x = buf("input", (n, net.input_dim))
-    layers = _layer_views(net, x, blocks, buf, (part, block_levels, shard_levels))
+    grad = (c, part, block_levels, shard_levels)
+    layers, backward, folds = _layer_calls(net, x, blocks, buf, grad)
     losses = buf("losses", (n,))
     loss_levels, loss_sum = shard_levels(losses)
     grad_levels, grads = tree_levels(part.reshape(-1, shards, part.shape[1]))
-    logits = layers[-1].a  # what the softmax-xent layer reads
+    logits = layers[-1][1]  # what the softmax-xent layer reads
     return SimpleNamespace(
-        training=True, c=c, perm=_tree_layout(n, shards), input=x, layers=layers,
-        batchnorms=[(i, v) for i, (s, v) in enumerate(zip(net.specs, layers))
-                    if s.kind == BATCHNORM],
+        perm=_tree_layout(n, shards), input=x, layers=layers,
+        backward=backward + grad_levels, folds=folds,
         labels=np.empty(n, np.int64), picked=np.empty(n, np.int64),
         row_starts=np.arange(n) * net.num_classes, probs=logits.reshape(-1),
         row_buf=buf("softmax", (n, 1)), losses=losses, loss_levels=loss_levels,
-        loss_sum=loss_sum, grad_levels=grad_levels, grads=grads,
+        loss_sum=loss_sum, grads=grads,
     )
 
 
@@ -438,9 +448,9 @@ def forward_backward_shards(net, x, y, shards):
 
     `x` and `y` are float64 / int64 arrays as :func:`check_batch` returns
     them; `x` is read, never written.  Every layer runs once over the batch,
-    through the views of the step plan of (B, P) (:func:`_step_plan`), built
-    at the first step of that shape; every batch-sized array it writes is in
-    `net.workspace`.
+    as the prebuilt calls of the step plan of (B, P) (:func:`_step_plan`),
+    built at the first step of that shape; every batch-sized array it writes
+    is in `net.workspace`.  Only the softmax cross-entropy loss runs inline.
 
     The batch is first gathered into tree order (:func:`_tree_layout`), and
     every batch sum runs the levels of the canonical pairwise tree over each
@@ -461,13 +471,13 @@ def forward_backward_shards(net, x, y, shards):
     Batch-norm statistics and their backward coupling terms are reduced
     over the global batch this way (sync-BN).
 
-    The walk runs unchecked under `np.errstate`, and one check of the loss
-    sum and the lowest logit (a -inf logit can leave the loss finite) finds
-    a non-finite forward: it raises the NumericOverflowError that names the
-    first layer whose output is not finite (:func:`_overflow`).  Only a
-    finite step folds its batch statistics into the running statistics,
-    once per layer.  An empty batch is a ConfigError, and one that `shards`
-    does not divide a PartitionError.
+    The forward runs unchecked under `np.errstate`, and one check of the
+    loss sum and the lowest logit (a -inf logit can leave the loss finite)
+    finds a non-finite forward: it raises the NumericOverflowError that
+    names the first layer whose output is not finite (:func:`_overflow`).
+    Only a finite step folds its batch statistics into the running
+    statistics, once per layer, and runs the backward.  An empty batch is a
+    ConfigError, and one that `shards` does not divide a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
@@ -489,7 +499,7 @@ def forward_backward_shards(net, x, y, shards):
     picked = np.add(plan.row_starts, y, out=plan.picked)  # flat index of each row's label
 
     with np.errstate(all="ignore"):  # a non-finite forward raises below instead
-        p = _forward(net, plan)
+        p = _forward(plan.layers)
         lowest = p.min()
         # terminal softmax cross-entropy, written over the logits
         row = plan.row_buf
@@ -504,49 +514,17 @@ def forward_backward_shards(net, x, y, shards):
         run_levels(plan.loss_levels)
         loss_sum = float(plan.loss_sum[0])
         if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
-            raise _overflow(net, plan)
-    for i, v in plan.batchnorms:
+            raise _overflow(plan.layers)
+    for i, mean, var in plan.folds:
         st = net.bn_state[i]
-        st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * v.mean_rows[0]
-        st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * v.var
+        st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
+        st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
     correct = int(np.count_nonzero(p.argmax(axis=1) == y))
 
-    # backward, sum convention.  Row r of the plan's gradient rows holds
-    # block r's gradient, laid out like net.params.grad.  Each dense layer's
-    # input gradient is written over its input, which is spent once the
-    # weight gradient is taken, and its bias block sums over d, spent after that.
-    d = p
-    plan.probs[picked] -= 1.0  # softmax minus one-hot
-    for i in range(len(net.specs) - 2, -1, -1):
-        s, v = net.specs[i], plan.layers[i]
-        if s.kind == DENSE:  # d is v.out
-            # a block's weight partial is a_blk.T @ d_blk, rank one at c == 1
-            if plan.c == 1:
-                np.einsum("bi,bj->bij", v.a, d, out=v.wpart)
-            else:
-                np.matmul(v.a_blocks_t, v.out_blocks, out=v.wpart)
-            if i > 0:  # nothing uses the gradient of the network's input
-                np.matmul(v.out_blocks, v.weight_t, out=v.a_blocks)
-            run_levels(v.bias_levels)
-            np.copyto(v.bpart, v.bias_sums)
-            d = v.a
-        elif s.kind == RELU:
-            d *= v.mask
-        elif s.kind == BATCHNORM:
-            d_xhat, d_copy = v.halves
-            np.multiply(d, v.xhat, out=d_xhat)
-            np.copyto(d_copy, d)
-            run_levels(v.block_levels)
-            np.copyto(v.spart, v.spart_sums)
-            run_levels(v.coupling_levels)
-            np.divide(v.coupling_sums, n, out=v.means)
-            mean_t2, mean_t1 = v.mean_rows
-            # d <- scale * inv * (d - mean_t1 - xhat * mean_t2), in place;
-            # xhat and inv are spent after this
-            d -= mean_t1
-            d -= np.multiply(v.xhat, mean_t2, out=v.xhat)
-            d *= np.multiply(v.scale, v.inv, out=v.inv)
-    run_levels(plan.grad_levels)
+    # backward, sum convention: the loss gradient of the logits is the
+    # softmax minus one-hot, written over the probabilities
+    plan.probs[picked] -= 1.0
+    run_levels(plan.backward)
     return loss_sum, correct, plan.grads
 
 
@@ -558,11 +536,16 @@ def check_batch(net, inputs, labels):
     """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
 
     The inputs must be 2-D with `net.input_dim` columns, there must be one
-    label per example, and every label must name one of the network's
-    `num_classes` outputs.
+    label per example, and every label must be a whole number naming one of
+    the network's `num_classes` outputs.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    given = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN or out-of-range cast is caught below
+        labels = given.astype(np.int64, copy=False)
+        bad = given[labels != given]
+    if bad.size:
+        raise ConfigError(f"labels must be whole numbers; {bad.size} are not: {bad[:5].tolist()}")
     if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
         raise ConfigError(
             f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
@@ -594,16 +577,17 @@ def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
     statistics and each dense layer as one GEMM over all of `inputs`.
 
-    Only the logits are checked; if they are not finite, the
-    NumericOverflowError names the first layer whose output is not.
+    The calls are built per call (:func:`_layer_calls`), since a training
+    step replaces the running statistics.  Only the logits are checked; if
+    they are not finite, the NumericOverflowError names the first layer
+    whose output is not.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    plan = SimpleNamespace(training=False, input=x,
-                           layers=_layer_views(net, x, lambda v: v, _fresh))
+    layers = _layer_calls(net, x, lambda v: v, lambda role, shape: np.empty(shape))[0]
     with np.errstate(all="ignore"):
-        logits = _forward(net, plan)
+        logits = _forward(layers)
         if not np.isfinite(logits).all():
-            raise _overflow(net, plan)
+            raise _overflow(layers)
     return logits
 
 

@@ -87,11 +87,13 @@ def stride_levels(rows):
 
 
 def run_levels(steps):
-    """Run a list of in-place steps from :func:`tree_levels` or :func:`stride_levels`.
+    """Run a prebuilt call list in order: each step is called with no arguments.
 
-    A step is a `functools.partial` of ``np.add(dst, src, dst)`` (its `out`
-    passed by position, which halves the call's cost against a keyword) or
-    of ``np.copyto(dst, src)``.
+    The levels of :func:`tree_levels` and :func:`stride_levels` are such a
+    list, each step a `functools.partial` of ``np.add(dst, src, dst)`` (its
+    `out` passed by position, which halves the call's cost against a
+    keyword) or of ``np.copyto(dst, src)``; so is any list of such partials
+    over fixed arrays, like the layer calls of `nn`'s step plan.
     """
     for step in steps:
         step()

@@ -4,12 +4,18 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from batchlab import cluster, costmodel, data, nn, optim
-from batchlab.errors import ConfigError, ConsistencyError, PartitionError
+from batchlab.errors import (
+    ConfigError,
+    ConsistencyError,
+    NumericOverflowError,
+    PartitionError,
+)
 from batchlab.reduction import tree_reduce
 from conftest import MLP_SPECS, SMALL_SPECS, random_batch
 
@@ -153,6 +159,24 @@ class TestGlobalStep:
             cluster.global_step(workers, x, y, hp, st_)
             nets[workers_count] = workers[0].net
         assert nets[1].checksum() == nets[P].checksum()
+
+    @pytest.mark.parametrize("P", [1, 4, 16])
+    def test_diverging_step_names_the_layer_and_changes_nothing(self, P):
+        # the rerun that names the layer walks the sharded plan's calls; it
+        # must not warn, fold a running statistic, update or count a step
+        x, y = random_batch(7, n=16)
+        workers = ready_workers(SMALL_SPECS, 3, P)
+        net = workers[0].net
+        net.params["dense3.weight"].param[:] = np.inf
+        before = net.checksum()
+        st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as exc:
+                cluster.global_step(workers, x, y, self._hp(), st_)
+        assert exc.value.layer_index == 3
+        assert net.checksum() == before
+        assert st_.iteration == 0
 
     def test_hundred_step_trajectories_bitwise_equal(self):
         full = make_dataset(512, seed=8)
@@ -395,6 +419,14 @@ class TestTrain:
         ds.train_y[5] = -1
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=r"labels span \[-1, 2\]"):
+            cluster.train(SMALL_SPECS, ds, hp, 1, 0)
+
+    def test_label_that_is_not_a_whole_number_rejected(self):
+        ds = make_dataset(256, seed=6)
+        ds.train_y = ds.train_y.astype(np.float64)
+        ds.train_y[5] = 1.5
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(ConfigError, match=r"whole numbers; 1 are not: \[1\.5\]"):
             cluster.train(SMALL_SPECS, ds, hp, 1, 0)
 
     @pytest.mark.parametrize("n_labels", [250, 260])

@@ -132,6 +132,28 @@ class TestForwardLoss:
         with pytest.raises(ConfigError, match="incompatible"):
             nn.loss_and_grad(small_net, np.zeros((4, 3)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("labels, named", [
+        ([0.5, 1.7], r"2 are not: \[0\.5, 1\.7\]"),
+        ([0.9, 1.0], r"1 are not: \[0\.9\]"),
+        ([np.nan, 1.0], r"1 are not: \[nan\]"),
+        ([2.0, np.inf], r"1 are not: \[inf\]"),
+        ([0.0, 2.0 ** 63], r"1 are not: \[9\.223372036854776e\+18\]"),
+    ], ids=["fractions", "one-fraction", "nan", "inf", "past-int64"])
+    def test_labels_that_are_not_whole_numbers_rejected(self, small_net, labels, named):
+        # a cast to int64 would train on, or count hits against, other labels
+        x, _ = random_batch(3, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN label must not warn on its way out
+            with pytest.raises(ConfigError, match=f"labels must be whole numbers; {named}"):
+                nn.loss_and_grad(small_net, x, labels)
+            with pytest.raises(ConfigError, match=f"labels must be whole numbers; {named}"):
+                nn.accuracy(small_net, x, labels)
+
+    def test_whole_float_labels_accepted(self, small_net):
+        x, _ = random_batch(3, n=2)
+        assert nn.accuracy(small_net, x, [2.0, 0.0]) == nn.accuracy(small_net, x, [2, 0])
+        assert nn.loss_and_grad(small_net, x, [2.0, 0.0]) == nn.loss_and_grad(small_net, x, [2, 0])
+
     def test_empty_batch_rejected(self, small_net):
         with pytest.raises(ConfigError, match="empty training batch"):
             nn.loss_and_grad(small_net, np.empty((0, 2)), [])
