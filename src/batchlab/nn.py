@@ -17,15 +17,15 @@ the whole parameter gradient among them, runs the in-place levels of
 `reduction.stride_levels` across the workers; the layout changes which
 rows are stored where, not which rows are added.
 
-Each layer kind is written once, in :func:`_layer_calls`, which builds a
-layer's forward calls, its backward calls and its batch-norm fold entry as
-`functools.partial`s over the layer's arrays.  A training step runs the
-calls of the step plan built once per (B, P) and kept on the Network: each
-layer's forward list, the inline softmax cross-entropy loss, then one
-backward list.  Evaluation builds its calls per call, on the running
-statistics.  A step checks its loss once, and the forward reruns with a
-check per layer only to name the layer at which a non-finite step
-overflowed.
+Each layer kind, the softmax cross-entropy loss among them, is written
+once, in :func:`_layer_calls`, which builds a layer's forward calls, its
+backward calls and its batch-norm fold entry as `functools.partial`s over
+the layer's arrays.  A training step runs the calls of the step plan built
+once per (B, P) and kept on the Network: each layer's forward list, then
+the backward lists, last layer first.  Evaluation builds its calls per
+call, on the running statistics.  A step checks its loss once, and the
+forward reruns with a check per layer only to name the layer at which a
+non-finite step overflowed.
 """
 
 import hashlib
@@ -256,29 +256,32 @@ def bitwise_invariant(batch, shards):
 
 
 def _layer_calls(net, x, blocks, alloc, grad=None):
-    """The calls of a layer walk over the batch `x`: (layers, backward, folds).
+    """The calls of a layer walk over the batch `x`: (layers, folds).
 
     `blocks(v)` shapes a dense layer's input or output for its GEMM, and
-    `alloc(role, shape)` supplies each array the walk writes.  `layers` holds
-    per layer (its forward calls, the array its output lands in), each call a
-    `functools.partial` over those arrays that `reduction.run_levels` runs.
-    Only dense layers take new arrays for their outputs: batch norm writes
-    its output over its input and relu multiplies it in place by a float 0/1
-    mask, so `x` is never written, the first layer being dense.
+    `alloc(role, shape)` supplies each float array the walk writes.  `layers`
+    holds per layer (its forward calls, its backward calls, its output), each
+    call a `functools.partial` over those arrays that `reduction.run_levels`
+    runs.  Only dense layers take new arrays for their outputs: batch norm
+    writes its output over its input and relu multiplies it in place by a
+    float 0/1 mask, so `x` is never written, the first layer being dense.
 
     Without `grad`, batch norm reads the running statistics `net.bn_state`
-    as they are now, and `backward` and `folds` are empty.  With `grad`, a
-    training step's (c, gradient rows, block levels, shard levels) (see
-    :func:`_step_plan`), batch norm reduces its batch statistics over the
-    global batch, and `folds` holds per batch-norm layer (index, batch mean,
-    batch variance).  `backward` then runs the layers last first; the
-    gradient of a layer's output is the array its output landed in, and a
-    dense layer writes its input gradient over its input.
+    as they are now, the softmax-xent layer makes no call and its output
+    stays the logits, and no layer has a backward call.  With `grad`, a
+    training step's (c, gradient rows, block levels, shard levels, labels)
+    (see :func:`_step_plan`), batch norm reduces its batch statistics over
+    the global batch, `folds` holds per batch-norm layer (index, batch mean,
+    batch variance), and the softmax-xent layer writes the softmax over the
+    logits and outputs (loss sum, lowest logit), as a -inf logit can leave
+    the loss finite.  Run last layer first, the backward calls write the
+    gradient of each layer's output over that output, and a dense layer
+    writes its input gradient over its input.
     """
     n = len(x)
     if grad is not None:
-        c, part, block_levels, shard_levels = grad
-    layers, backward, folds = [], [], []
+        c, part, block_levels, shard_levels, labels = grad
+    layers, folds = [], []
     a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
         fwd, bwd = [], []
@@ -346,36 +349,40 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                     partial(np.divide, 1.0, inv, inv), partial(np.subtract, a, mean, xhat),
                     partial(np.multiply, xhat, inv, xhat),
                     partial(np.multiply, xhat, scale.param, a), partial(np.add, a, shift.param, a)]
-        layers.append((fwd, a))
-        backward[:0] = bwd
-    return layers, backward, folds
+        elif grad is not None:  # softmax-xent, over the logits `a`
+            out = alloc("loss", (2,))
+            row = alloc("softmax", (n, 1))
+            losses = alloc("losses", (n,))
+            loss_levels, loss_sum = shard_levels(losses)
+            probs = a.reshape(-1)
+            row_starts = np.arange(n) * a.shape[1]
+            picked = np.empty(n, np.int64)  # the flat index of each row's label
+            fwd = [partial(np.minimum.reduce, a, None, None, out[1, ...]),
+                   partial(np.add, row_starts, labels, picked),
+                   partial(np.maximum.reduce, a, 1, None, row, True),
+                   partial(np.subtract, a, row, a), partial(np.exp, a, a),
+                   partial(np.add.reduce, a, 1, None, row, True), partial(np.divide, a, row, a),
+                   partial(probs.take, picked, None, losses),
+                   partial(np.log, losses, losses), partial(np.negative, losses, losses),
+                   *loss_levels, partial(np.copyto, out[:1], loss_sum)]
+            # sum convention: the gradient of the logits is the softmax minus one-hot
+            bwd = [partial(np.subtract.at, probs, picked, 1.0)]
+            a = out
+        layers.append((fwd, bwd, a))
+    return layers, folds
 
 
 def _forward(layers, check_each=False):
-    """Run a layer walk's forward calls (:func:`_layer_calls`); returns the logits.
+    """Run a layer walk's forward calls (:func:`_layer_calls`); returns the last output.
 
     The walk checks nothing unless `check_each`: then a layer whose output
     is not finite raises NumericOverflowError naming it.
     """
-    for i, (calls, out) in enumerate(layers):
+    for i, (calls, _, out) in enumerate(layers):
         run_levels(calls)
         if check_each and not np.isfinite(out).all():
             raise NumericOverflowError(i)
     return out
-
-
-def _overflow(layers):
-    """The NumericOverflowError of a forward over `layers` that did not end finite.
-
-    The walk reruns with a check after every layer, which names the first
-    layer whose output is not finite; if every layer's is, the loss was not,
-    and the error names the loss layer.
-    """
-    try:
-        _forward(layers, check_each=True)
-    except NumericOverflowError as exc:
-        return exc
-    return NumericOverflowError(len(layers) - 1)
 
 
 def _tree_layout(n, shards):
@@ -394,16 +401,15 @@ def _step_plan(net, n, shards):
     """The prebuilt calls and arrays of a training step of `n` rows in `shards` shards.
 
     Built at the first step of that shape and kept in `net.plans`, so that a
-    warm step makes no view and looks up no workspace array.  It holds per
-    layer (its forward calls, its output array), one backward list (the
-    layers last first, then the tree over the gradient rows) and the
-    batch-norm folds, all from :func:`_layer_calls`, and the arrays and
-    levels of the loss, which the step computes inline.  Every batch
-    sum is a list of in-place steps (`reduction.tree_levels`): within each
-    GEMM block, within each shard, and across the shards, where
-    `reduction.stride_levels` adds `tree_reduce`'s pairs over the P shard
-    sums left in worker order.  The int arrays (the layout and the gathered
-    labels) stay out of `net.workspace`, which holds a step's float arrays.
+    warm step makes no view and looks up no workspace array.  It holds the
+    layers and folds of :func:`_layer_calls` and one flat backward list: the
+    layers' backward lists, last layer first, then the tree over the
+    gradient rows.  Every batch sum is a list of in-place steps
+    (`reduction.tree_levels`): within each GEMM block, within each shard,
+    and across the shards, where `reduction.stride_levels` adds
+    `tree_reduce`'s pairs over the P shard sums left in worker order.  The
+    int arrays (the layout, the gathered labels and their flat indices)
+    stay out of `net.workspace`, which holds a step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
@@ -426,19 +432,14 @@ def _step_plan(net, n, shards):
     buf = net.buffer
     part = buf("part", (q, net.params.param.size))
     x = buf("input", (n, net.input_dim))
-    grad = (c, part, block_levels, shard_levels)
-    layers, backward, folds = _layer_calls(net, x, blocks, buf, grad)
-    losses = buf("losses", (n,))
-    loss_levels, loss_sum = shard_levels(losses)
+    labels = np.empty(n, np.int64)
+    layers, folds = _layer_calls(net, x, blocks, buf,
+                                 (c, part, block_levels, shard_levels, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, shards, part.shape[1]))
-    logits = layers[-1][1]  # what the softmax-xent layer reads
     return SimpleNamespace(
-        perm=_tree_layout(n, shards), input=x, layers=layers,
-        backward=backward + grad_levels, folds=folds,
-        labels=np.empty(n, np.int64), picked=np.empty(n, np.int64),
-        row_starts=np.arange(n) * net.num_classes, probs=logits.reshape(-1),
-        row_buf=buf("softmax", (n, 1)), losses=losses, loss_levels=loss_levels,
-        loss_sum=loss_sum, grads=grads,
+        perm=_tree_layout(n, shards), input=x, labels=labels, layers=layers, folds=folds,
+        backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
+        grads=grads,
     )
 
 
@@ -447,10 +448,11 @@ def forward_backward_shards(net, x, y, shards):
     split into `shards` equal shards: shard j is rows [j*B/P, (j+1)*B/P).
 
     `x` and `y` are float64 / int64 arrays as :func:`check_batch` returns
-    them; `x` is read, never written.  Every layer runs once over the batch,
-    as the prebuilt calls of the step plan of (B, P) (:func:`_step_plan`),
-    built at the first step of that shape; every batch-sized array it writes
-    is in `net.workspace`.  Only the softmax cross-entropy loss runs inline.
+    them; `x` is read, never written.  Every layer, the softmax
+    cross-entropy loss among them, runs once over the batch, as the prebuilt
+    calls of the step plan of (B, P) (:func:`_step_plan`), built at the
+    first step of that shape; every batch-sized array it writes is in
+    `net.workspace`.
 
     The batch is first gathered into tree order (:func:`_tree_layout`), and
     every batch sum runs the levels of the canonical pairwise tree over each
@@ -472,11 +474,11 @@ def forward_backward_shards(net, x, y, shards):
     over the global batch this way (sync-BN).
 
     The forward runs unchecked under `np.errstate`, and one check of the
-    loss sum and the lowest logit (a -inf logit can leave the loss finite)
-    finds a non-finite forward: it raises the NumericOverflowError that
-    names the first layer whose output is not finite (:func:`_overflow`).
-    Only a finite step folds its batch statistics into the running
-    statistics, once per layer, and runs the backward.  An empty batch is a
+    loss layer's (loss sum, lowest logit) finds a non-finite forward, which
+    reruns with a check per layer to raise the NumericOverflowError naming
+    the first layer whose output is not finite, the loss layer at the
+    latest.  A finite step folds its batch statistics into the running
+    statistics, counts its hits and runs the backward.  An empty batch is a
     ConfigError, and one that `shards` does not divide a PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
@@ -496,36 +498,18 @@ def forward_backward_shards(net, x, y, shards):
     # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
     x.take(plan.perm, axis=0, out=plan.input, mode="clip")
     y = y.take(plan.perm, out=plan.labels, mode="clip")
-    picked = np.add(plan.row_starts, y, out=plan.picked)  # flat index of each row's label
-
     with np.errstate(all="ignore"):  # a non-finite forward raises below instead
-        p = _forward(plan.layers)
-        lowest = p.min()
-        # terminal softmax cross-entropy, written over the logits
-        row = plan.row_buf
-        np.maximum.reduce(p, axis=1, out=row, keepdims=True)
-        np.subtract(p, row, out=p)
-        np.exp(p, out=p)
-        np.add.reduce(p, axis=1, out=row, keepdims=True)
-        p /= row
-        losses = plan.probs.take(picked, out=plan.losses)
-        np.log(losses, out=losses)
-        np.negative(losses, out=losses)
-        run_levels(plan.loss_levels)
-        loss_sum = float(plan.loss_sum[0])
+        loss_sum, lowest = _forward(plan.layers)
         if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
-            raise _overflow(plan.layers)
+            _forward(plan.layers, check_each=True)  # raises, naming the layer
     for i, mean, var in plan.folds:
         st = net.bn_state[i]
         st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
         st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
-    correct = int(np.count_nonzero(p.argmax(axis=1) == y))
-
-    # backward, sum convention: the loss gradient of the logits is the
-    # softmax minus one-hot, written over the probabilities
-    plan.probs[picked] -= 1.0
+    probs = plan.layers[-2][2]  # the loss layer's input, which its softmax overwrote
+    correct = int(np.count_nonzero(probs.argmax(axis=1) == y))
     run_levels(plan.backward)
-    return loss_sum, correct, plan.grads
+    return float(loss_sum), correct, plan.grads
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +521,16 @@ def check_batch(net, inputs, labels):
 
     The inputs must be 2-D with `net.input_dim` columns, there must be one
     label per example, and every label must be a whole number naming one of
-    the network's `num_classes` outputs.
+    the network's `num_classes` outputs.  A batch numpy cannot read as
+    numbers is a ConfigError too.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    given = np.asarray(labels)
+    try:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        given = np.asarray(labels)
+    except (TypeError, ValueError) as exc:  # ragged rows, say, or strings that are not numbers
+        raise ConfigError(f"batch is not numeric: {exc}") from None
+    if given.dtype.kind not in "biuf":
+        raise ConfigError(f"labels must be whole numbers, not {given.dtype} values")
     with np.errstate(invalid="ignore"):  # a NaN or out-of-range cast is caught below
         labels = given.astype(np.int64, copy=False)
         bad = given[labels != given]
@@ -587,7 +577,7 @@ def predict_logits(net, inputs):
     with np.errstate(all="ignore"):
         logits = _forward(layers)
         if not np.isfinite(logits).all():
-            raise _overflow(layers)
+            _forward(layers, check_each=True)  # raises, naming the layer
     return logits
 
 

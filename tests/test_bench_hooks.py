@@ -1,5 +1,5 @@
-"""The traced benchmark wraps batchlab functions by module attribute; each
-one it names must exist, or ``bench/run.py --trace 1`` breaks."""
+"""The benchmark calls, patches and traces batchlab functions by module
+attribute; each one it names must exist, or ``bench/run.py`` breaks."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +23,28 @@ def test_every_traced_function_exists():
         if not callable(getattr(getattr(batchlab, module, None), attr, None))
     ]
     assert spans.TRACED and not missing
+
+
+# What bench/run.py's untraced path calls or patches, by module attribute.
+RUN_HOOKS = [
+    ("cluster", "train"),
+    ("cluster", "global_step"),
+    ("nn", "accuracy"),
+    ("runner", "run_experiment"),
+    ("runner", "read_csv"),
+    ("config", "parse_config"),
+]
+
+
+def test_every_function_the_untraced_bench_uses_exists():
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in RUN_HOOKS
+        if not callable(getattr(getattr(batchlab, module, None), attr, None))
+    ]
+    assert not missing
+    # run.py counts an experiment that raises this as one that lost its steps
+    assert issubclass(batchlab.errors.BatchLabError, Exception)
 
 
 def load_spans():

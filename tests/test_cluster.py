@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchlab import cluster, costmodel, data, nn, optim
 from batchlab.errors import (
@@ -220,6 +221,11 @@ print(workers[0].net.checksum())
 """
 
 
+# Every split of B in 2..1024 into 2 <= P <= 64 shards that nn.bitwise_invariant flags.
+FLAGGED_SPLITS = [(B, P) for B in range(2, 1025) for P in range(2, 65)
+                  if B % P == 0 and nn.bitwise_invariant(B, P)]
+
+
 class TestLeafBlocks:
     @pytest.mark.parametrize("B, expected", [
         (1, 1), (24, 1), (32, 1), (48, 1), (64, 2), (256, 8), (512, 16), (1024, 32), (4096, 128),
@@ -247,6 +253,31 @@ class TestLeafBlocks:
         assert np.all(np.isfinite(reduced[64]))
         scale = np.abs(reduced[1]).max()
         assert np.abs(reduced[64] - reduced[1]).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 9), min_size=3, max_size=5), norm=st.booleans(),
+           split=st.sampled_from(FLAGGED_SPLITS))
+    def test_flagged_splits_of_random_stacks_give_the_one_worker_bits(self, widths, norm, split):
+        # Dense widths 1-9, 1-3 hidden layers with or without batch norm,
+        # and any flagged split: one step matches the 1-worker step.
+        specs = []
+        for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+            specs.append(nn.dense(n_in, n_out))
+            if i < len(widths) - 2:
+                specs += [nn.batchnorm()] * norm + [nn.relu()]
+        specs.append(nn.softmax_xent())
+        B, P = split
+        rng = np.random.default_rng(B)
+        x = rng.standard_normal((B, widths[0]))
+        y = rng.integers(0, widths[-1], B)
+        hp = optim.HyperParams(base_lr=0.1, epochs=1, batch_size=B)
+        seen = []
+        for workers in (1, P):
+            net = nn.init_network(specs, B)
+            st_ = optim.ScheduleState(max_iterations=1, iterations_per_epoch=1)
+            loss = cluster.global_step(cluster.make_workers(net, workers), x, y, hp, st_)[0]
+            seen.append((net.params.grad.tobytes(), repr(loss), net.checksum()))
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("B, P", [(512, 1), (256, 16)])
     def test_bits_do_not_depend_on_blas_threads(self, B, P):

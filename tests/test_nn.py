@@ -10,6 +10,7 @@ from batchlab.errors import (
     DegenerateBatchError,
     NumericOverflowError,
 )
+from batchlab.reduction import run_levels
 from conftest import MLP_SPECS, SMALL_SPECS, gradient_errors, random_batch
 
 
@@ -149,6 +150,21 @@ class TestForwardLoss:
             with pytest.raises(ConfigError, match=f"labels must be whole numbers; {named}"):
                 nn.accuracy(small_net, x, labels)
 
+    @pytest.mark.parametrize("inputs, labels", [
+        ([[0.0, 1.0], [1.0, 0.0]], ["0.5", "1"]),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, None]),
+        ([["a", "b"]], [0]),
+        ([[0.0, 1.0], [1.0]], [0, 1]),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0], [1, 2]]),
+    ], ids=["string-labels", "none-label", "string-inputs", "ragged-rows", "ragged-labels"])
+    def test_batch_that_is_not_numeric_rejected(self, small_net, inputs, labels):
+        # numpy's own ValueError or TypeError would escape the package's errors
+        named = "batch is not numeric|labels must be whole numbers"
+        with pytest.raises(ConfigError, match=named):
+            nn.loss_and_grad(small_net, inputs, labels)
+        with pytest.raises(ConfigError, match=named):
+            nn.accuracy(small_net, inputs, labels)
+
     def test_whole_float_labels_accepted(self, small_net):
         x, _ = random_batch(3, n=2)
         assert nn.accuracy(small_net, x, [2.0, 0.0]) == nn.accuracy(small_net, x, [2, 0])
@@ -179,6 +195,50 @@ class TestForwardLoss:
                 nn.loss_and_grad(small_net, x, y)
         assert exc.value.layer_index == 3
         assert small_net.checksum() == before
+
+    @pytest.mark.parametrize("weights, label, layer", [
+        ([[1000.0, -1000.0]], 1, 1),
+        ([[0.0, -np.inf]], 0, 0),
+    ], ids=["label-probability-underflows", "minus-inf-logit-finite-loss"])
+    def test_nonfinite_loss_names_its_layer(self, weights, label, layer):
+        # The label's probability underflowing leaves every layer finite but
+        # not the loss, so the loss layer is named; a -inf logit can leave
+        # the loss finite, and the dense layer that made it is named.
+        net = nn.init_network([nn.dense(1, 2), nn.softmax_xent()], 0)
+        net.params["dense0.weight"].param[:] = weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as exc:
+                nn.loss_and_grad(net, np.ones((4, 1)), np.full(4, label))
+        assert exc.value.layer_index == layer
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("B, P", [(32, 1), (512, 1), (256, 16)])
+    def test_per_layer_lists_make_the_whole_step(self, B, P):
+        # Each plan entry is (forward calls, backward calls, output), the
+        # loss layer's output being (loss sum, lowest logit).  Run by hand
+        # over poisoned arrays, the forward lists first layer first, the
+        # backward lists last layer first and then the gradient-row tree
+        # give the step's bits.
+        net = nn.init_network(MLP_SPECS, 5)
+        x, y = random_batch(B, n=B)
+        loss_sum, _, grads = nn.forward_backward_shards(net, x, y, P)
+        want = grads.tobytes()
+        plan = net.plans[B, P]
+        for buf in net.workspace.values():
+            buf.fill(np.nan)
+        x.take(plan.perm, axis=0, out=plan.input)
+        y.take(plan.perm, out=plan.labels)
+        for forward, _, _ in plan.layers:
+            run_levels(forward)
+        assert repr(float(plan.layers[-1][2][0])) == repr(loss_sum)
+        per_layer = [call for _, backward, _ in reversed(plan.layers) for call in backward]
+        assert plan.backward[:len(per_layer)] == per_layer
+        for _, backward, _ in reversed(plan.layers):
+            run_levels(backward)
+        run_levels(plan.backward[len(per_layer):])  # the tree over the gradient rows
+        assert grads.tobytes() == want
 
 
 class TestBackward:
