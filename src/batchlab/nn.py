@@ -45,6 +45,7 @@ from .errors import (
 # A step runs prebuilt levels and calls neither tree_sum nor tree_reduce, but
 # nn keeps both names: bench/spans.py traces the engine's batch sums through them.
 from .reduction import (  # noqa: F401
+    first_level,
     run_levels,
     stride_levels,
     tree_levels,
@@ -65,6 +66,22 @@ WEIGHT = "weight"
 BIAS = "bias"
 NORM_SCALE = "norm-scale"
 NORM_SHIFT = "norm-shift"
+
+CACHE_LINE = 64  # bytes: a cache line, and one AVX-512 vector
+
+
+def aligned_empty(shape):
+    """An uninitialised float64 array of `shape` whose data starts on a CACHE_LINE boundary.
+
+    numpy's allocator aligns float64 data to 8 bytes at least, so the array
+    is a slice of one over-allocated by CACHE_LINE / 8 - 1 elements.  A step
+    works on such arrays only: a vector load that straddles two lines costs
+    more than one within a line.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + CACHE_LINE // 8 - 1)
+    skip = -raw.ctypes.data % CACHE_LINE // 8
+    return raw[skip:skip + size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,8 @@ class ParamSet:
     construction order; a group's `.param`, `.grad` and `.momentum_buf` are
     shaped views of its span, so writes through either side are shared.
     `rate` and `step` are flat scratch vectors of the same layout that the
-    optimizer update writes.
+    optimizer update writes.  All five start on a cache line
+    (:func:`aligned_empty`).
     """
 
     def __init__(self, groups):
@@ -119,11 +137,12 @@ class ParamSet:
         names = [name for name, _, _ in groups]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter group names: {names}")
-        self.param = np.concatenate([a.reshape(-1) for _, _, a in groups])
-        self.grad = np.zeros_like(self.param)
-        self.momentum = np.zeros_like(self.param)
-        self.rate = np.empty_like(self.param)
-        self.step = np.empty_like(self.param)
+        size = (sum(a.size for _, _, a in groups),)
+        self.param = np.concatenate([a.reshape(-1) for _, _, a in groups],
+                                    out=aligned_empty(size))
+        self.grad, self.momentum, self.rate, self.step = (aligned_empty(size) for _ in range(4))
+        self.grad.fill(0.0)
+        self.momentum.fill(0.0)
         self.groups = []
         start = 0
         for name, category, a in groups:
@@ -168,11 +187,12 @@ class Network:
         self.plans = {}  # (B, P) -> step plan, see nn._step_plan
 
     def buffer(self, role, shape):
-        """The float64 workspace array for (role, shape), created on first use."""
+        """The float64 workspace array for (role, shape), created on first use
+        by :func:`aligned_empty`, so that it starts on a cache line."""
         key = (role, shape)
         buf = self.workspace.get(key)
         if buf is None:
-            buf = self.workspace[key] = np.empty(shape)
+            buf = self.workspace[key] = aligned_empty(shape)
         return buf
 
     def checksum(self):
@@ -270,7 +290,10 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     as they are now, the softmax-xent layer makes no call and its output
     stays the logits, and no layer has a backward call.  With `grad`, a
     training step's (c, gradient rows, block levels, shard levels, labels)
-    (see :func:`_step_plan`), batch norm reduces its batch statistics over
+    (see :func:`_step_plan`; ``block_levels(v, *halves)`` and
+    ``shard_levels(v, *halves)`` build a batch sum in place over `v`, its
+    first level written from `halves[j]` into ``v[:, j]`` when given),
+    batch norm reduces its batch statistics over
     the global batch, `folds` holds per batch-norm layer (index, batch mean,
     batch variance), and the softmax-xent layer writes the softmax over the
     logits and outputs (loss sum, lowest logit), as a -inf logit can leave
@@ -317,29 +340,34 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                     raise DegenerateBatchError(f"batchnorm layer {i}: training-mode "
                                                "statistics need a batch of >= 2")
                 # one tree over the stacked [a, a*a] forward and [d * xhat, d]
-                # backward; the latter is laid out like the adjacent scale and
-                # shift spans, and its batch sums give the coupling terms
-                stats = alloc("bnsums", (n, 2, a.shape[1]))
-                sum_x, sum_xx = stats[:, 0], stats[:, 1]
-                stat_levels, stat_sums = shard_levels(stats)
+                # backward, whose first level reads the two summands where
+                # they are: a*a over xhat, which the forward rewrites after
+                # the sums, and d * xhat in an array of its own.  Each half
+                # is contiguous, so that the first level writes whole rows.
+                # The block sums of the latter are copied into the adjacent
+                # scale and shift spans, and their batch sums give the
+                # coupling terms.
+                stats = alloc("bnsums", (2, n, a.shape[1])).transpose(1, 0, 2)
+                stat_levels, stat_sums = shard_levels(stats, a, xhat)
                 means = alloc(("bnmeans", i), (2, a.shape[1]))
                 mean, sq_mean = means
                 var = alloc(("bnvar", i), a.shape[1:])
-                fwd = [partial(np.copyto, sum_x, a), partial(np.multiply, a, a, sum_xx),
+                fwd = [partial(np.multiply, a, a, xhat),
                        *stat_levels, partial(np.divide, stat_sums, n, means),
                        partial(np.multiply, mean, mean, var),
                        partial(np.subtract, sq_mean, var, var),
                        partial(np.maximum, var, 0.0, out=var)]
                 folds.append((i, mean, var))
                 spart = part[:, scale.span.start:shift.span.stop]
-                spart_levels, sums = block_levels(stats)
+                d_xhat = alloc("dxhat", a.shape)
+                spart_levels, sums = block_levels(stats, d_xhat, a)
                 coupling_levels, coupling_sums = shard_levels(sums)
                 mean_t2, mean_t1 = means
-                # [d * xhat, d] over the halves, then, in place,
+                # the block sums of [d * xhat, d], then, in place,
                 # d <- scale * inv * (d - mean_t1 - xhat * mean_t2); xhat and
                 # inv are spent after this
-                bwd = [partial(np.multiply, a, xhat, sum_x), partial(np.copyto, sum_xx, a),
-                       *spart_levels, partial(np.copyto, spart, sums.reshape(len(sums), -1)),
+                bwd = [partial(np.multiply, a, xhat, d_xhat),
+                       *spart_levels, partial(np.copyto, spart.reshape(sums.shape), sums),
                        *coupling_levels, partial(np.divide, coupling_sums, n, means),
                        partial(np.subtract, a, mean_t1, a),
                        partial(np.multiply, xhat, mean_t2, xhat), partial(np.subtract, a, xhat, a),
@@ -407,9 +435,16 @@ def _step_plan(net, n, shards):
     gradient rows.  Every batch sum is a list of in-place steps
     (`reduction.tree_levels`): within each GEMM block, within each shard,
     and across the shards, where `reduction.stride_levels` adds
-    `tree_reduce`'s pairs over the P shard sums left in worker order.  The
-    int arrays (the layout, the gathered labels and their flat indices)
-    stay out of `net.workspace`, which holds a step's float arrays.
+    `tree_reduce`'s pairs over the P shard sums left in worker order.
+    Batch norm's stacked sums take their first level from the two summands
+    where they are (`reduction.first_level`), not from copies, and write it
+    into the stack's two contiguous halves.  The
+    gradient rows are a (B/c, |W| rounded up to 8) array, so that each row
+    starts on a cache line; the layers write its [:, :|W|] view, its zero
+    padding is summed with the rest, and the returned `grads` is the
+    (P, |W|) view of its first P rows.  The int arrays (the layout, the
+    gathered labels and their flat indices) stay out of `net.workspace`,
+    which holds a step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
@@ -418,28 +453,45 @@ def _step_plan(net, n, shards):
     def blocks(v):
         return v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1)
 
-    def block_levels(v):
-        # in place over v: the tree within each block; its (B/c, ...) block sums
-        return tree_levels(v.reshape(c, q, *v.shape[1:]))
+    def levels(v, group, halves):
+        # the tree over v's rows taken `group` at a time, in place; with
+        # `halves`, its first level is written from halves[j] into v[:, j]
+        # instead, so that v never holds a copy of them
+        rows = lambda u: u.reshape(-1, group, *u.shape[1:])
+        steps = []
+        for j, half in enumerate(halves):
+            level, live = first_level(rows(half), rows(v[:, j]))
+            steps += level
+        if halves:
+            v = v[:len(live) * group]
+        more, total = tree_levels(rows(v))
+        return steps + more, total
 
-    def shard_levels(v):
-        # in place over v: each shard's tree over its rows, then the tree
-        # over the P shard sums; the sum over the whole batch
-        steps, rows = tree_levels(v.reshape(-1, shards, *v.shape[1:]))
+    def block_levels(v, *halves):
+        # the tree within each block; its (B/c, ...) block sums
+        return levels(v, q, halves)
+
+    def shard_levels(v, *halves):
+        # each shard's tree over its rows, then the tree over the P shard
+        # sums; the sum over the whole batch
+        steps, rows = levels(v, shards, halves)
         across, total = stride_levels(rows)
         return steps + across, total
 
     buf = net.buffer
-    part = buf("part", (q, net.params.param.size))
+    size = net.params.param.size
+    per_line = CACHE_LINE // 8  # float64s
+    part = buf("part", (q, -(-size // per_line) * per_line))
+    part[:, size:] = 0.0  # the padding, summed with the rest and never read
     x = buf("input", (n, net.input_dim))
     labels = np.empty(n, np.int64)
     layers, folds = _layer_calls(net, x, blocks, buf,
-                                 (c, part, block_levels, shard_levels, labels))
+                                 (c, part[:, :size], block_levels, shard_levels, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, shards, part.shape[1]))
     return SimpleNamespace(
         perm=_tree_layout(n, shards), input=x, labels=labels, layers=layers, folds=folds,
         backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
-        grads=grads,
+        grads=grads[:, :size],
     )
 
 
@@ -465,9 +517,10 @@ def forward_backward_shards(net, x, y, shards):
     tree within each block.  The backward writes each block's gradient into
     one (B/c, |W|) array laid out like `net.params.grad` (a dense layer's
     x_blk.T @ d_blk and bias block sums, batch norm's block sums of
-    [d * xhat, d]), and one tree over each shard's m/c rows of it gives
-    every shard's gradient.  The per-shard sums of the loss and of batch
-    norm combine with `tree_reduce`'s pairs, in place; for power-of-two
+    [d * xhat, d]), its rows padded to start on cache lines, and one tree
+    over each shard's m/c rows of it gives every shard's gradient.  The
+    per-shard sums of the loss and of batch norm combine with
+    `tree_reduce`'s pairs, in place; for power-of-two
     shard sizes that leaf_block(B) divides, the blocks and trees are those
     of the whole batch, so results are independent of the shard layout.
     Batch-norm statistics and their backward coupling terms are reduced
@@ -519,10 +572,10 @@ def forward_backward_shards(net, x, y, shards):
 def check_batch(net, inputs, labels):
     """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
 
-    The inputs must be 2-D with `net.input_dim` columns, there must be one
-    label per example, and every label must be a whole number naming one of
-    the network's `num_classes` outputs.  A batch numpy cannot read as
-    numbers is a ConfigError too.
+    The inputs must be 2-D with `net.input_dim` columns and finite, there
+    must be one label per example, and every label must be a whole number
+    naming one of the network's `num_classes` outputs.  A batch numpy cannot
+    read as numbers is a ConfigError too; numpy reads `None` as NaN.
     """
     try:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -540,6 +593,9 @@ def check_batch(net, inputs, labels):
         raise ConfigError(
             f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
         )
+    bad = inputs.size - np.count_nonzero(np.isfinite(inputs))
+    if bad:  # it would be read as a diverged step, not as a bad batch
+        raise ConfigError(f"inputs must be finite; {bad} are not")
     if labels.shape != (len(inputs),):
         raise ConfigError(f"labels of shape {labels.shape} for {len(inputs)} examples")
     lo, hi = labels.min(initial=0), labels.max(initial=0)
@@ -573,7 +629,7 @@ def predict_logits(net, inputs):
     whose output is not.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    layers = _layer_calls(net, x, lambda v: v, lambda role, shape: np.empty(shape))[0]
+    layers = _layer_calls(net, x, lambda v: v, lambda role, shape: aligned_empty(shape))[0]
     with np.errstate(all="ignore"):
         logits = _forward(layers)
         if not np.isfinite(logits).all():

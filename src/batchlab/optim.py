@@ -98,10 +98,21 @@ def scheduled_lr(hp, st):
     return hp.base_lr * (1.0 - progress) ** hp.poly_power
 
 
+def _norm(v):
+    # np.linalg.norm's arithmetic for real input, without its dispatch
+    v = v.reshape(-1)
+    return math.sqrt(v.dot(v))
+
+
 def lars_local_lr(param, grad, weight_decay, trust):
-    """Layer-wise trust ratio for one parameter group."""
-    w_norm = float(np.linalg.norm(param))
-    g_norm = float(np.linalg.norm(grad))
+    """Layer-wise trust ratio for one parameter group.
+
+    `param` and `grad` are float arrays of any shape; their Euclidean norms
+    have the bits of `np.linalg.norm`'s, the square root of the raveled
+    view's dot product with itself.
+    """
+    w_norm = _norm(param)
+    g_norm = _norm(grad)
     denom = g_norm + weight_decay * w_norm
     if w_norm == 0.0:
         return 0.0
@@ -125,20 +136,28 @@ def apply_update(params, hp, lr, iteration=0):
     param <- param - v
 
     Lambdas come per group from its views; the step itself runs once over
-    the flat vectors, with each group's lambda * lr written over its span of
-    `params.rate` and lambda * lr * g into `params.step`.
+    the flat vectors, lambda * lr * g written into `params.step`.  Without
+    LARS every lambda is 1, so the step is scaled by lr itself; with LARS
+    each group's lambda * lr is first written over its span of
+    `params.rate`.  The update is finite exactly when the largest and the
+    smallest parameter are, as both are NaN if any parameter is; only a
+    non-finite update looks for the first group that is not finite.
     """
     lambdas = {g.name: group_local_lr(g, hp) for g in params}
-    rate, step = params.rate, params.step
-    for g in params:
-        rate[g.span] = lambdas[g.name] * lr
+    step = params.step
     np.multiply(params.param, hp.weight_decay, out=step)
     step += params.grad
-    step *= rate
+    if hp.lars_enabled:
+        rate = params.rate
+        for g in params:
+            rate[g.span] = lambdas[g.name] * lr
+        step *= rate
+    else:
+        step *= lr
     params.momentum *= hp.momentum
     params.momentum += step
     params.param -= params.momentum
-    if not np.all(np.isfinite(params.param)):
+    if not (math.isfinite(params.param.max()) and math.isfinite(params.param.min())):
         group = next(g.name for g in params if not np.all(np.isfinite(g.param)))
         raise DivergenceError(iteration, group)
     return lambdas

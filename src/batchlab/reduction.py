@@ -17,7 +17,10 @@ level adding row (2i+1)*s into row 2i*s.  :func:`tree_levels` and
 :func:`stride_levels` state such a sum as a fixed list of in-place steps
 over views of the summands, so a caller that sums the same arrays every
 step builds the list once and runs it with :func:`run_levels`;
-:func:`tree_sum` builds one and runs it at once.
+:func:`tree_sum` builds one and runs it at once.  :func:`first_level`
+builds one level of :func:`tree_sum` from the summands into another
+array, so that a caller can sum values it never stores; :func:`tree_levels`
+is that level run in place, level after level.
 """
 
 import functools
@@ -48,22 +51,37 @@ def _total(values):
     return values[0] if values.ndim > 1 else values[:1]
 
 
+def first_level(src, dst):
+    """One level of :func:`tree_sum` over the rows of `src`, written into `dst`: (steps, live).
+
+    For k > 1 rows, h = k // 2, `steps` is
+    ``np.add(src[:h], src[h:2h], dst[:h])``, then an odd last row copied
+    to row h of `dst`; one row is copied to row 0 of `dst`.  `live` is the
+    view of `dst`'s first ceil(k/2) rows that ``run_levels(steps)`` fills,
+    the rows the next level adds.  `src` is only read, unless it is `dst`.
+    """
+    k = len(src)
+    if k == 1:
+        return [functools.partial(np.copyto, dst[:1], src)], dst[:1]
+    h = k // 2
+    steps = [functools.partial(np.add, src[:h], src[h:2 * h], dst[:h])]
+    if k % 2:
+        steps.append(functools.partial(np.copyto, dst[h:h + 1], src[k - 1:k]))
+    return steps, dst[:h + k % 2]
+
+
 def tree_levels(values):
     """:func:`tree_sum`'s steps over `values`, built once: (steps, total).
 
-    `steps` is a list of in-place steps over views of `values`: a level of
-    k rows is ``np.add(values[:h], values[h:2h], out=values[:h])``, h = k // 2,
-    and an odd last row is then copied to row h.  After
-    ``run_levels(steps)``, `total` is a view of row 0 holding the sum.
+    `steps` is :func:`first_level` with `dst` = `src`, level after level,
+    over the live rows of `values`: a level of k rows adds rows [h, 2h)
+    into rows [0, h), h = k // 2, and copies an odd last row to row h.
+    After ``run_levels(steps)``, `total` is a view of row 0 holding the sum.
     """
-    steps = []
-    k = len(values)
-    while k > 1:
-        h = k // 2
-        steps.append(functools.partial(np.add, values[:h], values[h:2 * h], values[:h]))
-        if k % 2:
-            steps.append(functools.partial(np.copyto, values[h:h + 1], values[k - 1:k]))
-        k = h + k % 2
+    steps, live = [], values
+    while len(live) > 1:
+        level, live = first_level(live, live)
+        steps += level
     return steps, _total(values)
 
 

@@ -423,10 +423,10 @@ class TestTrain:
         assert re.fullmatch(r"diverged@\d+ layer \d+", log.status), log.status
 
     def test_evaluation_overflow_is_a_divergence(self):
-        # the test inputs overflow dense0 in the evaluation before the first step
+        # the largest finite test inputs overflow dense0 in the evaluation
+        # before the first step (a non-finite input is a config error)
         ds = make_dataset(256, seed=4)
-        with np.errstate(over="ignore"):
-            ds.test_x = ds.test_x * 1e308
+        ds.test_x = np.sign(ds.test_x) * np.finfo(np.float64).max
         hp = optim.HyperParams(base_lr=0.05, epochs=2, batch_size=64)
         with np.errstate(over="ignore", invalid="ignore"):
             log = cluster.train(SMALL_SPECS, ds, hp, 1, 0)
@@ -450,6 +450,17 @@ class TestTrain:
         ds.train_y[5] = -1
         hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
         with pytest.raises(ConfigError, match=r"labels span \[-1, 2\]"):
+            cluster.train(SMALL_SPECS, ds, hp, 1, 0)
+
+    @pytest.mark.parametrize("value", [None, np.nan, np.inf])
+    def test_input_that_is_not_finite_rejected(self, value):
+        # one bad training row is refused before any step, not logged as a
+        # divergence at layer 0
+        ds = make_dataset(256, seed=6)
+        ds.train_x = ds.train_x.astype(object)
+        ds.train_x[5, 1] = value
+        hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=32)
+        with pytest.raises(ConfigError, match="^inputs must be finite; 1 are not$"):
             cluster.train(SMALL_SPECS, ds, hp, 1, 0)
 
     def test_label_that_is_not_a_whole_number_rejected(self):

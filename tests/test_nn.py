@@ -165,6 +165,15 @@ class TestForwardLoss:
         with pytest.raises(ConfigError, match=named):
             nn.accuracy(small_net, inputs, labels)
 
+    @pytest.mark.parametrize("value", [None, np.nan, -np.inf])
+    def test_inputs_that_are_not_finite_rejected(self, small_net, value):
+        # a bad batch, not a divergence at layer 0; numpy reads None as NaN
+        inputs = [[0.0, value], [1.0, 2.0]]
+        with pytest.raises(ConfigError, match="^inputs must be finite; 1 are not$"):
+            nn.loss_and_grad(small_net, inputs, [0, 1])
+        with pytest.raises(ConfigError, match="^inputs must be finite; 1 are not$"):
+            nn.accuracy(small_net, inputs, [0, 1])
+
     def test_whole_float_labels_accepted(self, small_net):
         x, _ = random_batch(3, n=2)
         assert nn.accuracy(small_net, x, [2.0, 0.0]) == nn.accuracy(small_net, x, [2, 0])
@@ -239,6 +248,18 @@ class TestStepPlan:
             run_levels(backward)
         run_levels(plan.backward[len(per_layer):])  # the tree over the gradient rows
         assert grads.tobytes() == want
+
+    @pytest.mark.parametrize("B, P", [(32, 1), (512, 1), (256, 16)])
+    def test_step_arrays_start_on_a_cache_line(self, B, P):
+        # every float array a step touches, and every gradient row, starts on
+        # a 64-byte boundary, so no vector load straddles two lines
+        net = nn.init_network(MLP_SPECS, 5)
+        x, y = random_batch(B, n=B)
+        grads = nn.forward_backward_shards(net, x, y, P)[2]
+        p = net.params
+        arrays = [*net.workspace.values(), p.param, p.grad, p.momentum, p.rate, p.step, *grads]
+        assert [a.ctypes.data % nn.CACHE_LINE for a in arrays] == [0] * len(arrays)
+        assert grads.shape == (P, p.param.size)
 
 
 class TestBackward:
@@ -397,8 +418,9 @@ class TestEval:
         net = self._trained_net()
         net.params["dense3.weight"].param[:] *= 1e10
         x, y = random_batch(97, n=3 * nn.EVAL_ROWS)
+        net.params["dense0.weight"].param[:, 0] = 2.0  # 1e308 * 2 overflows
         x[5] = 1e300  # finite through dense0 and batch norm, overflows at dense3
-        x[2 * nn.EVAL_ROWS + 1, 0] = np.inf  # overflows at dense0, in a later block
+        x[2 * nn.EVAL_ROWS + 1] = 1e308  # overflows at dense0, in a later block
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericOverflowError) as whole:
                 nn.predict_logits(net, x)

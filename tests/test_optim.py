@@ -102,6 +102,22 @@ class TestLars:
     def test_zero_denominator_falls_back_to_one(self):
         assert optim.lars_local_lr(np.array([3.0]), np.zeros(1), 0.0, 0.01) == 1.0
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64,), (2, 64), (64, 3)])
+    @pytest.mark.parametrize("kind", ["random", "zero-params", "zero-denominator"])
+    def test_trust_ratio_has_the_linalg_norm_bits(self, shape, kind):
+        # the update's norms skip np.linalg.norm's dispatch, not its arithmetic
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        w, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        wd = 0.0005
+        if kind == "zero-params":
+            w[...] = 0.0
+        elif kind == "zero-denominator":
+            g[...], wd = 0.0, 0.0
+        w_norm, g_norm = float(np.linalg.norm(w)), float(np.linalg.norm(g))
+        denom = g_norm + wd * w_norm
+        expected = 0.0 if w_norm == 0.0 else 1.0 if denom == 0.0 else 0.02 * w_norm / denom
+        assert repr(optim.lars_local_lr(w, g, wd, 0.02)) == repr(expected)
+
     @given(st.floats(0.01, 100.0))
     def test_scale_invariance_without_decay(self, c):
         w = np.array([3.0, 4.0])
@@ -197,12 +213,14 @@ class TestSgdStep:
         assert np.array_equal(outs[0], outs[1])
 
     def test_nonfinite_update_raises_with_iteration(self):
-        net = self._one_group_net()
-        hp = make_hp()
-        net.params["dense0.weight"].grad[:] = np.inf
-        with pytest.raises(DivergenceError) as exc:
-            optim.apply_update(net.params, hp, lr=1.0, iteration=42)
-        assert exc.value.iteration == 42
+        # inf and -inf gradients leave -inf and inf parameters, which the
+        # smallest and the largest parameter catch; NaN, both
+        for value in (np.nan, np.inf, -np.inf):
+            net = self._one_group_net()
+            net.params["dense0.weight"].grad[0, 0] = value
+            with pytest.raises(DivergenceError) as exc:
+                optim.apply_update(net.params, make_hp(), lr=1.0, iteration=42)
+            assert exc.value.iteration == 42
 
     def test_nonfinite_update_names_first_bad_group(self):
         net = nn.init_network(SMALL_SPECS, 3)

@@ -2,7 +2,15 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from batchlab.reduction import run_levels, stride_levels, tree_order, tree_reduce, tree_sum
+from batchlab.reduction import (
+    first_level,
+    run_levels,
+    stride_levels,
+    tree_levels,
+    tree_order,
+    tree_reduce,
+    tree_sum,
+)
 
 FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, width=64)
 
@@ -54,6 +62,17 @@ def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
     # the sum is left in row 0 of the summands and returned as a view of it
     assert ordered[0].tobytes() == expected
     assert values.ndim == 1 or np.shares_memory(total, ordered[0])
+    # batch norm writes the first level from summands it never copies into
+    # an array of its own, which the later levels then sum in place: the
+    # source stays unwritten, and one row is copied
+    src = values[tree_order(len(values))]
+    dst = np.full_like(values, np.nan)
+    steps, live = first_level(src, dst)
+    more, total = tree_levels(live)
+    run_levels(steps + more)
+    assert total.tobytes() == expected
+    assert len(live) == (len(values) + 1) // 2
+    assert src.tobytes() == values[tree_order(len(values))].tobytes()
 
 
 @given(st.integers(0, 5), st.integers(1, 12))
