@@ -3,19 +3,18 @@
 Layers: dense, batchnorm, relu, and a terminal softmax cross-entropy loss.
 Everything is float64.  One array carries the whole batch through the
 layers.  Dense products are BLAS GEMMs over fixed blocks of
-:func:`leaf_block` rows, a shape set by the global batch size alone.  A
-P-worker split, in which worker j owns rows [j*B/P, (j+1)*B/P) of the
-batch, only orders the batch sums: the pairwise tree of
-:mod:`batchlab.reduction` within each worker's slice, then the same tree
-over the P partials.  For power-of-two slices that the block size divides,
-that is the single-worker tree, so both runs perform bit-identical arithmetic
-(batch-norm statistics are computed over the *global* batch, sync-BN style).
-A training step carries the batch with each worker's rows in
-`reduction.tree_order` (:func:`_tree_layout`), so that every batch sum,
-the whole parameter gradient among them, runs the in-place levels of
-`reduction.tree_levels` over contiguous halves, then
-`reduction.stride_levels` across the workers; the layout changes which
-rows are stored where, not which rows are added.
+:func:`leaf_block` rows, a shape set by the global batch size alone.
+Every batch sum is the one pairwise tree of :mod:`batchlab.reduction`
+over the whole batch, whatever the split (batch-norm statistics are
+computed over the *global* batch, sync-BN style).  A P-worker split, in
+which worker j owns rows [j*B/P, (j+1)*B/P) of the batch, sets only the
+GEMM block and where the parameter gradient's tree stops: at aligned
+nodes that no worker boundary cuts, whose sums the all-reduce finishes
+with the rest of the same tree.  Wherever the split keeps the 1-worker
+GEMM blocks, both runs perform bit-identical arithmetic.  A training step
+carries the batch in `reduction.tree_order`, so that every batch sum runs
+the in-place levels of `reduction.tree_levels` over contiguous halves;
+the layout changes which rows are stored where, not which rows are added.
 
 Each layer kind, the softmax cross-entropy loss among them, is written
 once, in :func:`_layer_calls`, which builds a layer's forward calls, its
@@ -47,7 +46,6 @@ from .errors import (
 from .reduction import (  # noqa: F401
     first_level,
     run_levels,
-    stride_levels,
     tree_levels,
     tree_order,
     tree_reduce,
@@ -267,12 +265,11 @@ def leaf_block(batch):
 
 def bitwise_invariant(batch, shards):
     """Whether splitting a batch of `batch` rows into `shards` shards gives the
-    1-shard bits: one shard, or `batch / shards` a power of two that
-    :func:`leaf_block` divides, so the split runs the 1-shard GEMM blocks and
-    trees.  `shards` must divide `batch`.
+    1-shard bits: whether :func:`leaf_block` divides `batch / shards`, so the
+    split runs the 1-shard GEMM blocks.  Every split runs the 1-shard trees.
+    `shards` must divide `batch`.
     """
-    local = batch // shards
-    return shards == 1 or ((local & (local - 1)) == 0 and local % leaf_block(batch) == 0)
+    return (batch // shards) % leaf_block(batch) == 0
 
 
 def _layer_calls(net, x, blocks, alloc, grad=None):
@@ -289,11 +286,12 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     Without `grad`, batch norm reads the running statistics `net.bn_state`
     as they are now, the softmax-xent layer makes no call and its output
     stays the logits, and no layer has a backward call.  With `grad`, a
-    training step's (c, gradient rows, block levels, shard levels, labels)
-    (see :func:`_step_plan`; ``block_levels(v, *halves)`` and
-    ``shard_levels(v, *halves)`` build a batch sum in place over `v`, its
-    first level written from `halves[j]` into ``v[:, j]`` when given),
-    batch norm reduces its batch statistics over
+    training step's (c, gradient rows, block levels, batch levels, labels)
+    (see :func:`_step_plan`; ``block_levels(v, *halves)`` builds the sums
+    of `v`'s rows within each GEMM block in place, and
+    ``batch_levels(v, *halves)`` the sum over all of them, the first level
+    written from `halves[j]` into ``v[:, j]`` when given), batch norm
+    reduces its batch statistics over
     the global batch, `folds` holds per batch-norm layer (index, batch mean,
     batch variance), and the softmax-xent layer writes the softmax over the
     logits and outputs (loss sum, lowest logit), as a -inf logit can leave
@@ -303,7 +301,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     """
     n = len(x)
     if grad is not None:
-        c, part, block_levels, shard_levels, labels = grad
+        c, part, block_levels, batch_levels, labels = grad
     layers, folds = [], []
     a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
@@ -348,7 +346,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                 # scale and shift spans, and their batch sums give the
                 # coupling terms.
                 stats = alloc("bnsums", (2, n, a.shape[1])).transpose(1, 0, 2)
-                stat_levels, stat_sums = shard_levels(stats, a, xhat)
+                stat_levels, stat_sums = batch_levels(stats, a, xhat)
                 means = alloc(("bnmeans", i), (2, a.shape[1]))
                 mean, sq_mean = means
                 var = alloc(("bnvar", i), a.shape[1:])
@@ -361,7 +359,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                 spart = part[:, scale.span.start:shift.span.stop]
                 d_xhat = alloc("dxhat", a.shape)
                 spart_levels, sums = block_levels(stats, d_xhat, a)
-                coupling_levels, coupling_sums = shard_levels(sums)
+                coupling_levels, coupling_sums = batch_levels(sums)
                 mean_t2, mean_t1 = means
                 # the block sums of [d * xhat, d], then, in place,
                 # d <- scale * inv * (d - mean_t1 - xhat * mean_t2); xhat and
@@ -381,7 +379,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             out = alloc("loss", (2,))
             row = alloc("softmax", (n, 1))
             losses = alloc("losses", (n,))
-            loss_levels, loss_sum = shard_levels(losses)
+            loss_levels, loss_sum = batch_levels(losses)
             probs = a.reshape(-1)
             row_starts = np.arange(n) * a.shape[1]
             picked = np.empty(n, np.int64)  # the flat index of each row's label
@@ -413,18 +411,6 @@ def _forward(layers, check_each=False):
     return out
 
 
-def _tree_layout(n, shards):
-    """The row permutation that gathers a batch of `n` rows in `shards` shards into tree order.
-
-    With m = n / shards, layout row t*shards + j is batch row
-    j*m + tree_order(m)[t]: each shard's rows in `reduction.tree_order`,
-    shard-minor, so that a (m, shards, ...) view of the layout puts each
-    level of every shard's tree in contiguous rows.
-    """
-    m = n // shards
-    return (np.arange(shards) * m + tree_order(m)[:, None]).reshape(-1)
-
-
 def _step_plan(net, n, shards):
     """The prebuilt calls and arrays of a training step of `n` rows in `shards` shards.
 
@@ -432,23 +418,26 @@ def _step_plan(net, n, shards):
     warm step makes no view and looks up no workspace array.  It holds the
     layers and folds of :func:`_layer_calls` and one flat backward list: the
     layers' backward lists, last layer first, then the tree over the
-    gradient rows.  Every batch sum is a list of in-place steps
-    (`reduction.tree_levels`): within each GEMM block, within each shard,
-    and across the shards, where `reduction.stride_levels` adds
-    `tree_reduce`'s pairs over the P shard sums left in worker order.
-    Batch norm's stacked sums take their first level from the two summands
-    where they are (`reduction.first_level`), not from copies, and write it
-    into the stack's two contiguous halves.  The
-    gradient rows are a (B/c, |W| rounded up to 8) array, so that each row
-    starts on a cache line; the layers write its [:, :|W|] view, its zero
-    padding is summed with the rest, and the returned `grads` is the
-    (P, |W|) view of its first P rows.  The int arrays (the layout, the
-    gathered labels and their flat indices) stay out of `net.workspace`,
-    which holds a step's float arrays.
+    gradient rows.  The batch is gathered in `reduction.tree_order(n)`,
+    whatever the split, and every batch sum is a list of in-place steps
+    (`reduction.tree_levels`): within each GEMM block, and over the whole
+    batch.  Batch norm's stacked sums take their first level from the two
+    summands where they are (`reduction.first_level`), not from copies, and
+    write it into the stack's two contiguous halves.  The gradient rows are
+    a (B/c, |W| rounded up to 8) array, so that each row starts on a cache
+    line; the layers write its [:, :|W|] view and its zero padding is
+    summed with the rest.  Their tree stops at one row per aligned node of
+    s rows, s the largest power of two dividing m = B/P, so that no node
+    spans two shards: row p holds node `tree_order(B/s)[p]`, and the
+    returned `grads` is the (B/s, |W|) view of those rows; at P = 1 the tree
+    runs to the end and `grads` has one row.  The int arrays (the layout,
+    the gathered labels and their flat indices) stay out of
+    `net.workspace`, which holds a step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
     q = n // c
+    nodes = 1 if shards == 1 else n // (m & -m)
 
     def blocks(v):
         return v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1)
@@ -471,12 +460,10 @@ def _step_plan(net, n, shards):
         # the tree within each block; its (B/c, ...) block sums
         return levels(v, q, halves)
 
-    def shard_levels(v, *halves):
-        # each shard's tree over its rows, then the tree over the P shard
-        # sums; the sum over the whole batch
-        steps, rows = levels(v, shards, halves)
-        across, total = stride_levels(rows)
-        return steps + across, total
+    def batch_levels(v, *halves):
+        # the tree over all of v's rows; the sum over the whole batch
+        steps, total = levels(v, 1, halves)
+        return steps, total[0] if total.ndim > 1 else total
 
     buf = net.buffer
     size = net.params.param.size
@@ -486,10 +473,10 @@ def _step_plan(net, n, shards):
     x = buf("input", (n, net.input_dim))
     labels = np.empty(n, np.int64)
     layers, folds = _layer_calls(net, x, blocks, buf,
-                                 (c, part[:, :size], block_levels, shard_levels, labels))
-    grad_levels, grads = tree_levels(part.reshape(-1, shards, part.shape[1]))
+                                 (c, part[:, :size], block_levels, batch_levels, labels))
+    grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
-        perm=_tree_layout(n, shards), input=x, labels=labels, layers=layers, folds=folds,
+        perm=tree_order(n), input=x, labels=labels, layers=layers, folds=folds,
         backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
         grads=grads[:, :size],
     )
@@ -506,25 +493,24 @@ def forward_backward_shards(net, x, y, shards):
     first step of that shape; every batch-sized array it writes is in
     `net.workspace`.
 
-    The batch is first gathered into tree order (:func:`_tree_layout`), and
-    every batch sum runs the levels of the canonical pairwise tree over each
-    shard's m = B/P rows, whose levels add contiguous rows.  The GEMM block
-    c = gcd(leaf_block(B), m) is a power of two dividing m, so the layout is
-    c contiguous slabs of B/c rows, slab r holding row rev_c(r) of every
-    block of c consecutive batch rows (`tree_order(c)` is rev_c).  A block is
-    a strided view of the slabs, so every dense product is still one BLAS
-    GEMM per block, and the first log2(c) levels of a shard's tree are the
-    tree within each block.  The backward writes each block's gradient into
-    one (B/c, |W|) array laid out like `net.params.grad` (a dense layer's
-    x_blk.T @ d_blk and bias block sums, batch norm's block sums of
-    [d * xhat, d]), its rows padded to start on cache lines, and one tree
-    over each shard's m/c rows of it gives every shard's gradient.  The
-    per-shard sums of the loss and of batch norm combine with
-    `tree_reduce`'s pairs, in place; for power-of-two
-    shard sizes that leaf_block(B) divides, the blocks and trees are those
-    of the whole batch, so results are independent of the shard layout.
-    Batch-norm statistics and their backward coupling terms are reduced
-    over the global batch this way (sync-BN).
+    The batch is first gathered into `reduction.tree_order(B)`, whatever
+    the split, and every batch sum runs the levels of the canonical pairwise
+    tree over the whole batch, whose levels add contiguous rows.  The GEMM
+    block c = gcd(leaf_block(B), m), m = B/P, is a power of two dividing m,
+    so the layout is c contiguous slabs of B/c rows, slab r holding row
+    rev_c(r) of every block of c consecutive batch rows (`tree_order(c)` is
+    rev_c).  A block is a strided view of the slabs, so every dense product
+    is still one BLAS GEMM per block, and the first log2(c) levels of the
+    tree are the tree within each block.  The backward writes each block's
+    gradient into one (B/c, |W|) array laid out like `net.params.grad` (a
+    dense layer's x_blk.T @ d_blk and bias block sums, batch norm's block
+    sums of [d * xhat, d]), its rows padded to start on cache lines, and the
+    tree over it stops at the aligned nodes of s rows, s the largest power
+    of two dividing m, which no shard boundary cuts.  Batch-norm statistics
+    and their backward coupling terms are reduced over the global batch
+    (sync-BN).  Where leaf_block(B) divides m, the blocks are those of the
+    whole batch, and the node sums finish with the rest of its tree, so
+    results are independent of the split.
 
     The forward runs unchecked under `np.errstate`, and one check of the
     loss layer's (loss sum, lowest logit) finds a non-finite forward, which
@@ -536,9 +522,13 @@ def forward_backward_shards(net, x, y, shards):
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
-    a (shards, |W|) array whose row j is shard j's sum-convention gradient,
-    laid out like `net.params.grad`.  `grads` is a workspace array, valid
-    until the next call on `net`.
+    the sum-convention gradients of the nodes, laid out like
+    `net.params.grad`, in tree order: a (B/s, |W|) array whose row p is the
+    gradient of batch rows [i*s, (i+1)*s), i = `tree_order(B/s)[p]`, or a
+    (1, |W|) array of the whole batch's gradient when `shards` is 1.  For a
+    power-of-two m these are the P shard gradients.  Reduced with
+    `tree_reduce` in batch order, the rows give the whole tree's bits.
+    `grads` is a workspace array, valid until the next call on `net`.
     """
     n = len(x)
     if n == 0:

@@ -4,17 +4,17 @@ Every batch-level sum in the package (per-example gradient accumulation,
 batch-norm statistics, per-example losses, and the cross-worker all-reduce)
 goes through the same reduction tree: adjacent elements are combined
 pairwise, lowest index on the left, level by level, and an odd last element
-is carried to the next level.  Because the tree over a batch of B examples
-decomposes into the P per-worker subtrees whenever the local batch B/P is a
-power of two, a P-worker reduction reproduces the 1-worker sum bit for bit.
+is carried to the next level.  For s a power of two dividing B, the first
+log2(s) levels of the tree over B examples are the trees of its aligned
+nodes of s examples, and the tree over the B/s node sums, in batch order,
+is the rest of it.  A P-worker reduction whose workers hold whole nodes
+(s dividing B/P) therefore reproduces the 1-worker sum bit for bit.
 
 :func:`tree_reduce` spells the tree out over a list and is its reference.
 :func:`tree_sum` adds the same pairs in place over the rows of an array
 laid out in :func:`tree_order`, the generalized bit-reversal of the in-place
 FFT, under which a level adds the second half of the live rows to the first.
-:func:`stride_levels` adds them in place over rows left in list order, a
-level adding row (2i+1)*s into row 2i*s.  :func:`tree_levels` and
-:func:`stride_levels` state such a sum as a fixed list of in-place steps
+:func:`tree_levels` states such a sum as a fixed list of in-place steps
 over views of the summands, so a caller that sums the same arrays every
 step builds the list once and runs it with :func:`run_levels`;
 :func:`tree_sum` builds one and runs it at once.  :func:`first_level`
@@ -85,33 +85,14 @@ def tree_levels(values):
     return steps, _total(values)
 
 
-def stride_levels(rows):
-    """:func:`tree_reduce`'s pairs over the rows of `rows`, in place: (steps, total).
-
-    Level l adds rows s, 3s, 5s, ... into rows 0, 2s, 4s, ..., s = 2**l,
-    and an odd last live row stays where it is, live at the next level:
-    ``run_levels(steps)`` gives `total` the bits of
-    ``tree_reduce(list(rows))`` in ceil(log2 k) strided adds for k rows.
-    `total` is a view of row 0.
-    """
-    steps = []
-    s = 1
-    while s < len(rows):
-        live = rows[::s]
-        h = len(live) // 2
-        steps.append(functools.partial(np.add, live[0:2 * h:2], live[1:2 * h:2], live[0:2 * h:2]))
-        s *= 2
-    return steps, _total(rows)
-
-
 def run_levels(steps):
     """Run a prebuilt call list in order: each step is called with no arguments.
 
-    The levels of :func:`tree_levels` and :func:`stride_levels` are such a
-    list, each step a `functools.partial` of ``np.add(dst, src, dst)`` (its
-    `out` passed by position, which halves the call's cost against a
-    keyword) or of ``np.copyto(dst, src)``; so is any list of such partials
-    over fixed arrays, like the layer calls of `nn`'s step plan.
+    The levels of :func:`tree_levels` are such a list, each step a
+    `functools.partial` of ``np.add(dst, src, dst)`` (its `out` passed by
+    position, which halves the call's cost against a keyword) or of
+    ``np.copyto(dst, src)``; so is any list of such partials over fixed
+    arrays, like the layer calls of `nn`'s step plan.
     """
     for step in steps:
         step()
@@ -134,8 +115,9 @@ def tree_reduce(items, combine=None):
     """Reduce a list with the pairwise-left tree, in list order.
 
     `items` are combined in ascending index order; `combine` defaults to
-    addition.  Reducing P partial sums of aligned power-of-two slices yields
-    the same bits as one tree over the concatenated elements.
+    addition.  Reducing the partial sums of aligned slices of one
+    power-of-two length yields the same bits as one tree over the
+    concatenated elements.
     """
     if not items:
         raise ValueError("tree_reduce of empty list")

@@ -17,7 +17,7 @@ from batchlab.errors import (
     NumericOverflowError,
     PartitionError,
 )
-from batchlab.reduction import tree_reduce
+from batchlab.reduction import tree_order, tree_reduce
 from conftest import MLP_SPECS, SMALL_SPECS, random_batch
 
 NOBN_SPECS = [nn.dense(2, 4), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
@@ -35,8 +35,16 @@ def ready_workers(specs, seed, P):
 
 
 def local_grads(specs, seed, x, y, P):
-    """The (P, |W|) per-worker gradients of a fresh `specs` network on (x, y)."""
+    """The node gradient rows of a fresh `specs` network on (x, y) split over P workers."""
     return nn.forward_backward_shards(nn.init_network(specs, seed), x, y, P)[2]
+
+
+def nodes(B, P):
+    """(count, rows): the nodes a B/P split's gradient rows hold, and the rows
+    of each, the largest power of two dividing B/P; one node at P = 1."""
+    m = B // P
+    count = 1 if P == 1 else B // (m & -m)
+    return count, B // count
 
 
 class TestPartition:
@@ -74,14 +82,16 @@ class TestLocalGradients:
 
     @pytest.mark.parametrize("B, P", [(24, 2), (48, 3), (12, 4)])
     def test_each_worker_gradient_is_its_own_slice(self, B, P):
-        # without batch norm no term couples the slices, so worker j's
-        # gradients are exactly those of rows [j*B/P, (j+1)*B/P) run alone
+        # without batch norm no term couples the rows, so the gradient row
+        # of each node, rows [i*s, (i+1)*s) of one worker's slice, is
+        # exactly that of the node's rows run alone; row p is node
+        # tree_order(count)[p]
         x, y = random_batch(10, n=B)
         grads = local_grads(NOBN_SPECS, 6, x, y, P)
-        m = B // P
-        assert grads.shape == (P, nn.init_network(NOBN_SPECS, 6).params.grad.size)
-        for j, g in enumerate(grads):
-            (alone,) = local_grads(NOBN_SPECS, 6, x[j * m:(j + 1) * m], y[j * m:(j + 1) * m], 1)
+        count, s = nodes(B, P)
+        assert grads.shape == (count, nn.init_network(NOBN_SPECS, 6).params.grad.size)
+        for g, i in zip(grads, tree_order(count)):
+            (alone,) = local_grads(NOBN_SPECS, 6, x[i * s:(i + 1) * s], y[i * s:(i + 1) * s], 1)
             assert g.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("B, P", [
@@ -89,8 +99,8 @@ class TestLocalGradients:
     ])
     def test_each_worker_gradient_is_the_pairwise_tree_of_its_examples(self, B, P):
         # the reduction law end to end: at c == 1 and without batch norm,
-        # every entry of worker j's gradient is tree_reduce, in batch order,
-        # over the one-example gradients of its rows
+        # every entry of node row p's gradient is tree_reduce, in batch
+        # order, over the one-example gradients of node tree_order(count)[p]
         m = B // P
         assert math.gcd(nn.leaf_block(B), m) == 1
         x, y = random_batch(11, n=B)
@@ -98,8 +108,10 @@ class TestLocalGradients:
         alone = [nn.forward_backward_shards(net, x[r:r + 1], y[r:r + 1], 1)[2][0].copy()
                  for r in range(B)]
         grads = local_grads(NOBN_SPECS, 6, x, y, P)
-        for j, g in enumerate(grads):
-            assert g.tobytes() == tree_reduce(alone[j * m:(j + 1) * m]).tobytes()
+        count, s = nodes(B, P)
+        assert len(grads) == count
+        for g, i in zip(grads, tree_order(count)):
+            assert g.tobytes() == tree_reduce(alone[i * s:(i + 1) * s]).tobytes()
 
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)
@@ -122,11 +134,13 @@ class TestAllReduce:
         out = cluster.all_reduce(np.stack([g, -g]))
         assert np.all(out == 0.0)
 
-    def test_worker_partials_reduce_to_single_pass_sum(self):
-        x, y = random_batch(4, n=16)
-        reduced = cluster.all_reduce(local_grads(SMALL_SPECS, 9, x, y, 4))
+    @pytest.mark.parametrize("B, P", [(16, 4), (24, 2), (45, 5), (96, 2)])
+    def test_worker_partials_reduce_to_single_pass_sum(self, B, P):
+        # the node rows, taken in batch order, finish the 1-worker tree
+        x, y = random_batch(4, n=B)
+        reduced = cluster.all_reduce(local_grads(SMALL_SPECS, 9, x, y, P))
         full = local_grads(SMALL_SPECS, 9, x, y, 1)
-        assert np.array_equal(reduced, full[0])
+        assert reduced.tobytes() == full[0].tobytes()
 
 
 class TestGlobalStep:
@@ -235,7 +249,7 @@ class TestLeafBlocks:
 
     @pytest.mark.parametrize("B, P, exact", [
         (512, 32, True), (256, 16, True), (1024, 32, True), (48, 3, True), (32, 32, True),
-        (512, 64, False), (24, 2, False),
+        (512, 64, False), (24, 2, True), (96, 2, True), (768, 16, True), (45, 5, True),
     ])
     def test_flag_names_the_exact_splits(self, spirals, B, P, exact):
         assert nn.bitwise_invariant(B, P) is exact

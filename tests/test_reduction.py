@@ -5,7 +5,6 @@ from hypothesis.extra import numpy as hnp
 from batchlab.reduction import (
     first_level,
     run_levels,
-    stride_levels,
     tree_levels,
     tree_order,
     tree_reduce,
@@ -28,18 +27,30 @@ def sliced_arrays(draw):
 @given(sliced_arrays())
 def test_slice_trees_compose_into_whole_tree(case):
     # The law that makes a P-worker step equal the 1-worker step bit for bit:
-    # per-worker trees over aligned power-of-two slices, each in tree_order,
-    # reduced with tree_reduce, perform exactly the additions of one tree
-    # over the whole array in tree_order.  The engine takes the P per-worker
-    # trees as one tree_sum over the slices laid out (m, P), worker-minor.
-    # tree_sum consumes its summands, so each slice is summed as a copy.
-    whole, workers = case
-    m = len(whole) // workers
-    slices = [s[tree_order(m)] for s in np.split(whole, workers)]
+    # the trees over aligned nodes of s rows, s a power of two, each in
+    # tree_order, reduced with tree_reduce in batch order, perform exactly
+    # the additions of one tree over the whole array in tree_order.
+    # tree_sum consumes its summands, so each node is summed as a copy.
+    whole, count = case
+    s = len(whole) // count
+    node_rows = np.split(whole, count)
     expected = tree_sum(whole[tree_order(len(whole))]).tobytes()
-    assert tree_reduce([tree_sum(s.copy()) for s in slices]).tobytes() == expected
-    layout = np.stack(slices, axis=1)
-    assert tree_reduce(list(tree_sum(layout))).tobytes() == expected
+    slices = [r[tree_order(s)] for r in node_rows]
+    assert tree_reduce([tree_sum(r.copy()) for r in slices]).tobytes() == expected
+    # one tree_sum over the nodes stacked (s, count), node-minor, runs
+    # every node's tree at once
+    assert tree_reduce(list(tree_sum(np.stack(slices, axis=1)))).tobytes() == expected
+    # The engine cuts its one tree over the batch at such nodes: over the
+    # rows in tree_order, the levels of the (s, count, ...) view leave in
+    # row p the tree of node tree_order(count)[p], and taken in batch order
+    # those rows finish the whole tree.
+    layout = whole[tree_order(len(whole))]
+    steps, rows = tree_levels(layout.reshape(-1, count, *whole.shape[1:]))
+    run_levels(steps)
+    order = tree_order(count)
+    for row, i in zip(rows, order):
+        assert row.tobytes() == tree_reduce(list(node_rows[i])).tobytes()
+    assert tree_reduce([rows[p] for p in np.argsort(order)]).tobytes() == expected
 
 
 @st.composite
@@ -83,20 +94,3 @@ def test_tree_order_splits_into_bit_reversed_slabs(log_c, q):
     c = 2 ** log_c
     slabs = tree_order(c * q).reshape(c, q)
     assert np.array_equal(slabs, c * tree_order(q) + tree_order(c)[:, None])
-
-
-@given(summands())
-def test_strided_levels_over_rows_in_list_order_match_the_pairwise_tree(values):
-    # The engine combines the P per-shard sums, left in worker order, with
-    # stride_levels: built once, then run in place every step.  The pairs,
-    # and so the bits, must be tree_reduce's, and the total must be a view
-    # that the run fills, also for a 1-D array, whose row 0 is a scalar.
-    expected = tree_reduce(list(values)).tobytes()
-    rows = np.full_like(values, np.nan)
-    steps, total = stride_levels(rows)
-    assert len(steps) == (len(rows) - 1).bit_length()  # ceil(log2 rows) levels
-    rows[...] = values  # the summands arrive after the build
-    run_levels(steps)
-    assert total.tobytes() == expected
-    assert total.shape == (values.shape[1:] or (1,))
-    assert np.shares_memory(total, rows[:1])
