@@ -21,8 +21,11 @@ once, in :func:`_layer_calls`, which builds a layer's forward calls, its
 backward calls and its batch-norm fold entry as `functools.partial`s over
 the layer's arrays.  A training step runs the calls of the step plan built
 once per (B, P) and kept on the Network: each layer's forward list, then
-the backward lists, last layer first.  Evaluation builds its calls per
-call, on the running statistics.  A step checks its loss once, and the
+the backward lists, last layer first.  Evaluation runs the forward walks
+of the evaluation plan, built once per row count and kept on the Network
+too; their batch norm reads the running statistics, which a step updates
+in place.  Every call with a row-vector operand goes through a tile of at
+least numpy's buffer length.  A step checks its loss once, and the
 forward reruns with a check per layer only to name the layer at which a
 non-finite step overflowed.
 """
@@ -66,6 +69,7 @@ NORM_SCALE = "norm-scale"
 NORM_SHIFT = "norm-shift"
 
 CACHE_LINE = 64  # bytes: a cache line, and one AVX-512 vector
+TAIL_ROWS = 32  # batch norm's stacked batch sums run their last levels on a contiguous copy
 
 
 def aligned_empty(shape):
@@ -171,7 +175,10 @@ class Network:
     (role, shape), and `plans` the step plan of each (B, P) split, the calls
     over those arrays that a step makes.  Both start empty; the first step of
     each split fills them and later steps reuse them, so a step allocates no
-    batch-sized array and builds no view.
+    batch-sized array and builds no view.  `plans["eval"]` is the evaluation
+    plan of the latest row count evaluated (see :func:`_eval_plan`), which
+    holds arrays of its own and reads the arrays of `bn_state`, which a step
+    updates in place.
     """
 
     def __init__(self, specs, params, bn_state, layer_groups, input_dim, num_classes):
@@ -182,7 +189,7 @@ class Network:
         self.input_dim = input_dim
         self.num_classes = num_classes
         self.workspace = {}
-        self.plans = {}  # (B, P) -> step plan, see nn._step_plan
+        self.plans = {}  # (B, P) -> step plan (nn._step_plan); "eval" -> nn._eval_plan
 
     def buffer(self, role, shape):
         """The float64 workspace array for (role, shape), created on first use
@@ -272,6 +279,27 @@ def bitwise_invariant(batch, shards):
     return (batch // shards) % leaf_block(batch) == 0
 
 
+def _row_calls(alloc, ufunc, v, row, out):
+    """``ufunc(v, row, out)`` over a C-contiguous (n, w) `v` and `out` and a (w,)
+    `row`, as two calls through a tile: (fill, call).
+
+    numpy copies a broadcast operand through its iterator buffer of
+    ``np.getbufsize()`` elements whenever the inner run is shorter than that.
+    So the fill copies `row` into every row of the tile ``alloc("tile", (r, w))``,
+    r the smallest divisor of n with r * w >= ``np.getbufsize()`` (n if there
+    is none), and the call runs `ufunc` over the (n / r, r * w) views of `v`
+    and `out` with the flat tile as their row.  Every element meets the same
+    operand as under broadcasting, so the bits are the broadcast call's.  A
+    walk fills each tile right before its call, so one tile of a shape
+    serves every call.
+    """
+    n, w = v.shape
+    r = next((d for d in range(1, n) if n % d == 0 and d * w >= np.getbufsize()), n)
+    tile = alloc("tile", (r, w))
+    return [partial(np.copyto, tile, row),
+            partial(ufunc, v.reshape(-1, r * w), tile.reshape(-1), out.reshape(-1, r * w))]
+
+
 def _layer_calls(net, x, blocks, alloc, grad=None):
     """The calls of a layer walk over the batch `x`: (layers, folds).
 
@@ -282,10 +310,13 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     runs.  Only dense layers take new arrays for their outputs: batch norm
     writes its output over its input and relu multiplies it in place by a
     float 0/1 mask, so `x` is never written, the first layer being dense.
+    Every call with a row-vector operand (a dense bias, a batch-norm
+    statistic or parameter) runs through a tile (:func:`_row_calls`).
 
     Without `grad`, batch norm reads the running statistics `net.bn_state`
-    as they are now, the softmax-xent layer makes no call and its output
-    stays the logits, and no layer has a backward call.  With `grad`, a
+    as they are when the calls run and normalizes its input in place, the
+    softmax-xent layer makes no call and its output stays the logits, and no
+    layer has a backward call.  With `grad`, a
     training step's (c, gradient rows, block levels, batch levels, labels)
     (see :func:`_step_plan`; ``block_levels(v, *halves)`` builds the sums
     of `v`'s rows within each GEMM block in place, and
@@ -303,6 +334,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     if grad is not None:
         c, part, block_levels, batch_levels, labels = grad
     layers, folds = [], []
+    row_calls = partial(_row_calls, alloc)
     a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
         fwd, bwd = [], []
@@ -311,7 +343,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             out = alloc(("dense", i), (n, s.out_dim))
             a_blocks, out_blocks = blocks(a), blocks(out)
             fwd = [partial(np.matmul, a_blocks, w.param, out=out_blocks),
-                   partial(np.add, out, b.param, out)]
+                   *row_calls(np.add, out, b.param, out)]
             if grad is not None:
                 # a block's weight partial is a_blk.T @ d_blk, rank one at c == 1
                 wpart = part[:, w.span].reshape(-1, s.in_dim, s.out_dim)
@@ -329,14 +361,15 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             bwd = fwd[1:]  # d *= mask: relu's gradient, like its output, is `a`
         elif s.kind == BATCHNORM:
             scale, shift = groups
-            xhat = alloc(("batchnorm", i), a.shape)
             inv = alloc(("bninv", i), a.shape[1:])
             if grad is None:
                 mean, var = net.bn_state[i]["mean"], net.bn_state[i]["var"]
+                xhat = a  # nothing reads it after the forward
             else:
                 if n < 2:
                     raise DegenerateBatchError(f"batchnorm layer {i}: training-mode "
                                                "statistics need a batch of >= 2")
+                xhat = alloc(("batchnorm", i), a.shape)
                 # one tree over the stacked [a, a*a] forward and [d * xhat, d]
                 # backward, whose first level reads the two summands where
                 # they are: a*a over xhat, which the forward rewrites after
@@ -367,14 +400,16 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                 bwd = [partial(np.multiply, a, xhat, d_xhat),
                        *spart_levels, partial(np.copyto, spart.reshape(sums.shape), sums),
                        *coupling_levels, partial(np.divide, coupling_sums, n, means),
-                       partial(np.subtract, a, mean_t1, a),
-                       partial(np.multiply, xhat, mean_t2, xhat), partial(np.subtract, a, xhat, a),
+                       *row_calls(np.subtract, a, mean_t1, a),
+                       *row_calls(np.multiply, xhat, mean_t2, xhat),
+                       partial(np.subtract, a, xhat, a),
                        partial(np.multiply, scale.param, inv, inv),
-                       partial(np.multiply, a, inv, a)]
+                       *row_calls(np.multiply, a, inv, a)]
             fwd += [partial(np.add, var, s.eps, inv), partial(np.sqrt, inv, inv),
-                    partial(np.divide, 1.0, inv, inv), partial(np.subtract, a, mean, xhat),
-                    partial(np.multiply, xhat, inv, xhat),
-                    partial(np.multiply, xhat, scale.param, a), partial(np.add, a, shift.param, a)]
+                    partial(np.divide, 1.0, inv, inv), *row_calls(np.subtract, a, mean, xhat),
+                    *row_calls(np.multiply, xhat, inv, xhat),
+                    *row_calls(np.multiply, xhat, scale.param, a),
+                    *row_calls(np.add, a, shift.param, a)]
         elif grad is not None:  # softmax-xent, over the logits `a`
             out = alloc("loss", (2,))
             row = alloc("softmax", (n, 1))
@@ -383,10 +418,14 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             probs = a.reshape(-1)
             row_starts = np.arange(n) * a.shape[1]
             picked = np.empty(n, np.int64)  # the flat index of each row's label
+            # the row maximum as a fold over the columns: max is exact, so
+            # the fold gives np.maximum.reduce's bits at a fraction of its cost
+            row_max = [partial(np.copyto, row, a[:, :1]),
+                       *(partial(np.maximum, row, a[:, j:j + 1], out=row)
+                         for j in range(1, a.shape[1]))]
             fwd = [partial(np.minimum.reduce, a, None, None, out[1, ...]),
                    partial(np.add, row_starts, labels, picked),
-                   partial(np.maximum.reduce, a, 1, None, row, True),
-                   partial(np.subtract, a, row, a), partial(np.exp, a, a),
+                   *row_max, partial(np.subtract, a, row, a), partial(np.exp, a, a),
                    partial(np.add.reduce, a, 1, None, row, True), partial(np.divide, a, row, a),
                    partial(probs.take, picked, None, losses),
                    partial(np.log, losses, losses), partial(np.negative, losses, losses),
@@ -453,7 +492,19 @@ def _step_plan(net, n, shards):
             steps += level
         if halves:
             v = v[:len(live) * group]
-        more, total = tree_levels(rows(v))
+        v = rows(v)
+        if group == 1 and not v.flags.c_contiguous:
+            # batch norm's stacked sums over the whole batch: a level over
+            # the strided halves costs several contiguous ones, so the levels
+            # of TAIL_ROWS rows or fewer run on a contiguous copy
+            while len(v) > TAIL_ROWS:
+                level, v = first_level(v, v)
+                steps += level
+            if len(v) > 1:
+                tail = buf("bntail", v.shape)
+                steps.append(partial(np.copyto, tail, v))
+                v = tail
+        more, total = tree_levels(v)
         return steps + more, total
 
     def block_levels(v, *halves):
@@ -546,9 +597,10 @@ def forward_backward_shards(net, x, y, shards):
         if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
             _forward(plan.layers, check_each=True)  # raises, naming the layer
     for i, mean, var in plan.folds:
-        st = net.bn_state[i]
-        st["mean"] = BN_MOMENTUM * st["mean"] + (1.0 - BN_MOMENTUM) * mean
-        st["var"] = BN_MOMENTUM * st["var"] + (1.0 - BN_MOMENTUM) * var
+        # in place: the evaluation plan reads these arrays
+        for run, batch in ((net.bn_state[i]["mean"], mean), (net.bn_state[i]["var"], var)):
+            run *= BN_MOMENTUM
+            run += (1.0 - BN_MOMENTUM) * batch
     probs = plan.layers[-2][2]  # the loss layer's input, which its softmax overwrote
     correct = int(np.count_nonzero(probs.argmax(axis=1) == y))
     run_levels(plan.backward)
@@ -558,6 +610,13 @@ def forward_backward_shards(net, x, y, shards):
 # ---------------------------------------------------------------------------
 # batch check and single-network API (mean-loss convention)
 # ---------------------------------------------------------------------------
+
+def _check_width(net, inputs):
+    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
+        raise ConfigError(
+            f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
+        )
+
 
 def check_batch(net, inputs, labels):
     """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
@@ -579,10 +638,7 @@ def check_batch(net, inputs, labels):
         bad = given[labels != given]
     if bad.size:
         raise ConfigError(f"labels must be whole numbers; {bad.size} are not: {bad[:5].tolist()}")
-    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
-        raise ConfigError(
-            f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
-        )
+    _check_width(net, inputs)
     bad = inputs.size - np.count_nonzero(np.isfinite(inputs))
     if bad:  # it would be read as a diverged step, not as a bad batch
         raise ConfigError(f"inputs must be finite; {bad} are not")
@@ -609,25 +665,102 @@ def loss_and_grad(net, inputs, labels):
     return loss_sum / n
 
 
+EVAL_ROWS = 64  # test rows per evaluation GEMM
+
+
+def _eval_alloc():
+    """An `alloc` for an evaluation walk (:func:`_layer_calls` without `grad`).
+
+    Only the dense outputs and the relu masks of such a walk are batch-sized,
+    and only one of them is live between calls: the activation, which is the
+    latest dense output.  So the dense outputs of one shape take two arrays
+    in turn, and a relu's mask is the one that its input does not hold.  The
+    rest (tiles, batch norm's inverse deviations) gets an array per (role, shape).
+    """
+    pairs, rest = {}, {}
+
+    def alloc(role, shape):
+        kind = role if isinstance(role, str) else role[0]
+        if kind not in (DENSE, RELU):
+            if (role, shape) not in rest:
+                rest[role, shape] = aligned_empty(shape)
+            return rest[role, shape]
+        if shape not in pairs:
+            pairs[shape] = [aligned_empty(shape), aligned_empty(shape)]
+        pair = pairs[shape]  # the latest dense output of this shape first
+        if kind == DENSE:
+            pair.reverse()
+            return pair[0]
+        return pair[1]
+
+    return alloc
+
+
+def _eval_plan(net, n):
+    """The prebuilt walks of an evaluation of `n` rows: their inputs and calls.
+
+    Built at the first evaluation of that row count and kept as
+    `net.plans["eval"]`.  The full blocks of EVAL_ROWS rows are one walk,
+    each dense layer one stacked GEMM of a GEMM per block, and the n %
+    EVAL_ROWS rows left are a walk of their own, so that each row meets the
+    GEMM shape of a per-block walk (padding the last block to EVAL_ROWS rows
+    changes logit bits).  Batch norm reads the arrays of `net.bn_state` when
+    the calls run, which a training step updates in place; the plan keeps
+    them as `reads`, so that an evaluation after they were rebound rebuilds it.
+    """
+    full = n - n % EVAL_ROWS
+    walks = []
+    for rows, blocks in ((full, lambda v: v.reshape(-1, EVAL_ROWS, v.shape[1])),
+                         (n - full, lambda v: v)):
+        if rows:
+            x = aligned_empty((rows, net.input_dim))
+            walks.append((x, _layer_calls(net, x, blocks, _eval_alloc())[0]))
+    return SimpleNamespace(rows=n, walks=walks, reads=_running_stats(net))
+
+
+def _running_stats(net):
+    return [a for st in net.bn_state.values() for a in (st["mean"], st["var"])]
+
+
+def _evaluate(net, inputs):
+    """The eval-mode logits of the rows of the float64 (n, input width) `inputs`,
+    as one array per walk of the evaluation plan, in row order.
+
+    The arrays are the plan's, valid until the next evaluation.  Only the
+    logits are checked; if any are not finite, the walks whose logits are
+    not rerun with a check per layer, and the NumericOverflowError names the
+    first layer at which any row's output is not finite.
+    """
+    plan = net.plans.get("eval")
+    if (plan is None or plan.rows != len(inputs)
+            or any(a is not b for a, b in zip(plan.reads, _running_stats(net)))):
+        plan = net.plans["eval"] = _eval_plan(net, len(inputs))
+    start, outs, overflows = 0, [], []
+    with np.errstate(all="ignore"):
+        for x, layers in plan.walks:
+            np.copyto(x, inputs[start:start + len(x)])
+            start += len(x)
+            outs.append(_forward(layers))
+            if not np.isfinite(outs[-1]).all():
+                try:
+                    _forward(layers, check_each=True)
+                except NumericOverflowError as exc:
+                    overflows.append(exc)
+    if overflows:
+        raise min(overflows, key=lambda exc: exc.layer_index)
+    return outs
+
+
 def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
-    statistics and each dense layer as one GEMM over all of `inputs`.
+    statistics, over blocks of EVAL_ROWS rows (:func:`_eval_plan`).
 
-    The calls are built per call (:func:`_layer_calls`), since a training
-    step replaces the running statistics.  Only the logits are checked; if
-    they are not finite, the NumericOverflowError names the first layer
-    whose output is not.
+    Returns a copy of the logits.  If they are not all finite, the
+    NumericOverflowError names the first layer at which any row's output is not.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    layers = _layer_calls(net, x, lambda v: v, lambda role, shape: aligned_empty(shape))[0]
-    with np.errstate(all="ignore"):
-        logits = _forward(layers)
-        if not np.isfinite(logits).all():
-            _forward(layers, check_each=True)  # raises, naming the layer
-    return logits
-
-
-EVAL_ROWS = 64  # test rows per evaluation GEMM
+    _check_width(net, x)
+    return np.concatenate([np.empty((0, net.num_classes)), *_evaluate(net, x)])
 
 
 def accuracy(net, inputs, labels):
@@ -642,15 +775,5 @@ def accuracy(net, inputs, labels):
     inputs, labels = check_batch(net, inputs, labels)
     if not len(inputs):
         return math.nan  # like the mean of no rows
-    hits, overflows = 0, []
-    for start in range(0, len(inputs), EVAL_ROWS):
-        rows = slice(start, start + EVAL_ROWS)
-        try:
-            logits = predict_logits(net, inputs[rows])
-        except NumericOverflowError as exc:
-            overflows.append(exc)
-            continue
-        hits += np.count_nonzero(logits.argmax(axis=1) == labels[rows])
-    if overflows:
-        raise min(overflows, key=lambda exc: exc.layer_index)
-    return float(np.divide(hits, len(inputs)))
+    predicted = np.concatenate([logits.argmax(axis=1) for logits in _evaluate(net, inputs)])
+    return float(np.divide(np.count_nonzero(predicted == labels), len(inputs)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,6 +263,36 @@ class TestStepPlan:
         assert grads.shape == (P, p.param.size)
 
 
+class TestRowCalls:
+    @pytest.mark.parametrize("n, w, r", [
+        (1, 64, 1), (3, 64, 3), (24, 64, 24), (45, 64, 45),
+        (512, 64, 128), (1000, 64, 200), (512, 3, 512),
+    ])
+    @pytest.mark.parametrize("ufunc", [np.add, np.subtract, np.multiply])
+    def test_tiled_call_gives_the_broadcast_bytes(self, ufunc, n, w, r):
+        # The row goes through a tile of r rows, r the smallest divisor of n
+        # whose r * w elements fill numpy's iterator buffer, or n when none
+        # does; the call over the tiled views gives the broadcast call's bytes,
+        # into another array and in place.
+        rng = np.random.default_rng(n * w)
+        v, row = rng.standard_normal((n, w)), rng.standard_normal(w)
+        v[0, :3] = [-0.0, np.inf, np.nan]
+        row[-1] = -0.0
+        tiles = {}
+
+        def alloc(role, shape):
+            return tiles.setdefault((role, shape), np.full(shape, np.nan))
+
+        with np.errstate(all="ignore"):
+            want = ufunc(v, row).tobytes()
+            out = np.full_like(v, np.nan)
+            run_levels(nn._row_calls(alloc, ufunc, v, row, out))
+            assert out.tobytes() == want
+            run_levels(nn._row_calls(alloc, ufunc, v, row, v))
+            assert v.tobytes() == want
+        assert list(tiles) == [("tile", (r, w))]
+
+
 class TestBackward:
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_oracle(self, seed):
@@ -376,13 +407,71 @@ class TestBatchNorm:
 
 
 class TestEval:
-    def _trained_net(self):
-        net = nn.init_network(SMALL_SPECS, 5)
-        for step in range(20):
+    def _trained_net(self, specs=SMALL_SPECS, steps=20):
+        net = nn.init_network(specs, 5)
+        for step in range(steps):
             x, y = random_batch(step, n=16)
             nn.loss_and_grad(net, 3.0 * x + 1.0, y)
             net.params.param -= 0.1 * net.params.grad
         return net
+
+    def _per_block(self, net, x):
+        # a walk of its own over each block of EVAL_ROWS rows, every array fresh
+        logits = []
+        for start in range(0, len(x), nn.EVAL_ROWS):
+            rows = x[start:start + nn.EVAL_ROWS]
+            layers = nn._layer_calls(net, rows, lambda v: v, lambda role, shape: np.empty(shape))[0]
+            logits.append(nn._forward(layers))
+        return np.concatenate(logits)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 999, 1000])
+    def test_prebuilt_walk_gives_the_bytes_of_per_block_walks(self, n):
+        # The full blocks run as one walk of stacked GEMMs and the rest as a
+        # walk of its own; every row's logits are those of its own block.  A
+        # training step folds into the running statistics in place, so the
+        # plan is kept across steps and reads the new ones.
+        net = self._trained_net(MLP_SPECS, steps=5)
+        x, y = random_batch(n, n=n)
+        plans = []
+        for _ in range(2):
+            want = self._per_block(net, x)
+            assert nn.predict_logits(net, x).tobytes() == want.tobytes()
+            assert nn.accuracy(net, x, y) == np.count_nonzero(want.argmax(axis=1) == y) / n
+            plans.append(net.plans["eval"])
+            for k in range(3):
+                nn.loss_and_grad(net, *random_batch(50 + k, n=32))
+                net.params.param -= 0.1 * net.params.grad
+        assert plans[0] is plans[1]
+
+    def test_one_evaluation_plan_rebuilt_for_a_new_row_count(self):
+        net = self._trained_net()
+        x, y = random_batch(95, n=130)
+        nn.accuracy(net, x, y)
+        plan = net.plans["eval"]
+        logits = nn.predict_logits(net, x)
+        assert net.plans["eval"] is plan
+        logits[:] = np.nan  # a copy: the next evaluation is unchanged
+        assert not np.isnan(nn.predict_logits(net, x)).any()
+        nn.accuracy(net, x[:65], y[:65])
+        assert net.plans["eval"] is not plan and net.plans["eval"].rows == 65
+        assert list(net.plans) == [(16, 1), "eval"]  # the training step plan, and one evaluation plan
+        # running statistics rebound, not updated in place, are read too
+        net.bn_state[1] = {"mean": net.bn_state[1]["mean"] + 1.0, "var": 2.0 * net.bn_state[1]["var"]}
+        assert nn.predict_logits(net, x[:65]).tobytes() == self._per_block(net, x[:65]).tobytes()
+
+    def test_evaluation_plan_keeps_two_arrays_per_width(self):
+        # Batch norm normalizes in place and a relu's mask is the array its
+        # input does not hold, so the plan keeps two (rows, 64) arrays, not
+        # one per layer.
+        net = self._trained_net(MLP_SPECS, steps=1)
+        x, y = random_batch(94, n=1000)
+        tracemalloc.start()
+        try:
+            nn.accuracy(net, x, y)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1.5 * 2 * 1000 * 64 * 8, kept
 
     def _reference(self, net, x, batch_stats):
         p = net.params
