@@ -17,24 +17,24 @@ the in-place levels of `reduction.tree_levels` over contiguous halves;
 the layout changes which rows are stored where, not which rows are added.
 
 Each layer kind, the softmax cross-entropy loss among them, is written
-once, in :func:`_layer_calls`, which builds a layer's forward calls, its
-backward calls and its batch-norm fold entry as `functools.partial`s over
-the layer's arrays.  A training step runs the calls of the step plan built
-once per (B, P) and kept on the Network: each layer's forward list, then
-the backward lists, last layer first.  Evaluation runs the forward walks
-of the evaluation plan, built once per row count and kept on the Network
-too; their batch norm reads the running statistics, which a step updates
-in place.  Every call with a row-vector operand goes through a tile of at
-least numpy's buffer length.  A step checks its loss once, and the
-forward reruns with a check per layer only to name the layer at which a
-non-finite step overflowed.
+once, in :func:`_layer_calls`, which builds a layer's forward and backward
+calls as `functools.partial`s over the layer's arrays.  A training step
+runs the calls of the step plan built once per (B, P) and kept on the
+Network: each layer's forward list, three calls that fold the batch
+statistics into the running ones, `net.running`, then the backward lists,
+last layer first.  Evaluation runs the forward walks of the evaluation
+plan, built once per row count and kept on the Network too; their batch
+norm reads `net.running`, which a step updates in place.  Every call with a
+row-vector operand goes through a tile of at least numpy's buffer length.
+A step checks its loss once, and the forward reruns with a check per layer
+only to name the layer at which a non-finite step overflowed.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -171,20 +171,25 @@ class ParamSet:
 class Network:
     """Layer stack plus its ParamSet, batch-norm running statistics and step workspace.
 
+    `running` is one float64 vector, starting on a cache line, of each batch
+    norm's running mean and variance, layer i's at its span `bn_spans[i]`;
+    `bn_state[i]` is a read-only mapping of `mean` and `var` to views of them.
     The workspace holds the float64 arrays a training step writes, keyed by
     (role, shape), and `plans` the step plan of each (B, P) split, the calls
     over those arrays that a step makes.  Both start empty; the first step of
     each split fills them and later steps reuse them, so a step allocates no
     batch-sized array and builds no view.  `plans["eval"]` is the evaluation
     plan of the latest row count evaluated (see :func:`_eval_plan`), which
-    holds arrays of its own and reads the arrays of `bn_state`, which a step
-    updates in place.
+    holds arrays of its own and reads `running`, which a step updates in place.
     """
 
-    def __init__(self, specs, params, bn_state, layer_groups, input_dim, num_classes):
+    def __init__(self, specs, params, running, bn_spans, layer_groups, input_dim, num_classes):
         self.specs = list(specs)
         self.params = params
-        self.bn_state = bn_state  # layer index -> dict(mean, var)
+        self.running, self.bn_spans = running, bn_spans
+        self.bn_state = MappingProxyType({
+            i: MappingProxyType(dict(zip(("mean", "var"), running[span].reshape(2, -1))))
+            for i, span in bn_spans.items()})
         self.layer_groups = layer_groups  # per layer: (weight, bias), (scale, shift) or ()
         self.input_dim = input_dim
         self.num_classes = num_classes
@@ -203,9 +208,7 @@ class Network:
     def checksum(self):
         h = hashlib.sha256()
         h.update(self.params.checksum().encode())
-        for i in sorted(self.bn_state):
-            h.update(self.bn_state[i]["mean"].tobytes())
-            h.update(self.bn_state[i]["var"].tobytes())
+        h.update(self.running.tobytes())
         return h.hexdigest()
 
 
@@ -225,7 +228,7 @@ def init_network(specs, seed):
         raise ConfigError("first layer must be dense (defines the input width)")
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = []  # per layer: its (name, category, initial array) groups
-    bn_state = {}
+    bn_spans, stats = {}, 0  # batch-norm layer index -> its span of Network.running
     width = specs[0].in_dim
     for i, s in enumerate(specs):
         if s.kind == DENSE:
@@ -245,7 +248,8 @@ def init_network(specs, seed):
                 raise ConfigError(f"layer {i}: batchnorm eps must be finite and positive")
             layers.append([(f"bn{i}.scale", NORM_SCALE, np.ones(width)),
                            (f"bn{i}.shift", NORM_SHIFT, np.zeros(width))])
-            bn_state[i] = {"mean": np.zeros(width), "var": np.ones(width)}
+            bn_spans[i] = slice(stats, stats + 2 * width)
+            stats += 2 * width
         elif s.kind == SOFTMAX_XENT and i < len(specs) - 1:
             raise ConfigError("exactly one softmax-xent layer allowed (at the end)")
         elif s.kind in (RELU, SOFTMAX_XENT):
@@ -254,7 +258,10 @@ def init_network(specs, seed):
             raise ConfigError(f"layer {i}: unknown kind {s.kind!r}")
     params = ParamSet(g for layer in layers for g in layer)
     layer_groups = [tuple(params[name] for name, _, _ in layer) for layer in layers]
-    return Network(specs, params, bn_state, layer_groups, specs[0].in_dim, width)
+    running = aligned_empty((stats,))
+    for span in bn_spans.values():
+        running[span].reshape(2, -1)[:] = [[0.0], [1.0]]  # mean 0, variance 1
+    return Network(specs, params, running, bn_spans, layer_groups, specs[0].in_dim, width)
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +308,37 @@ def _row_calls(alloc, ufunc, v, row, out):
 
 
 def _layer_calls(net, x, blocks, alloc, grad=None):
-    """The calls of a layer walk over the batch `x`: (layers, folds).
+    """The calls of a walk over the batch `x`: per layer (forward calls, backward calls, output).
 
     `blocks(v)` shapes a dense layer's input or output for its GEMM, and
-    `alloc(role, shape)` supplies each float array the walk writes.  `layers`
-    holds per layer (its forward calls, its backward calls, its output), each
-    call a `functools.partial` over those arrays that `reduction.run_levels`
+    `alloc(role, shape)` supplies each float array the walk writes.  Each
+    call is a `functools.partial` over those arrays that `reduction.run_levels`
     runs.  Only dense layers take new arrays for their outputs: batch norm
     writes its output over its input and relu multiplies it in place by a
     float 0/1 mask, so `x` is never written, the first layer being dense.
     Every call with a row-vector operand (a dense bias, a batch-norm
     statistic or parameter) runs through a tile (:func:`_row_calls`).
 
-    Without `grad`, batch norm reads the running statistics `net.bn_state`
-    as they are when the calls run and normalizes its input in place, the
-    softmax-xent layer makes no call and its output stays the logits, and no
-    layer has a backward call.  With `grad`, a
-    training step's (c, gradient rows, block levels, batch levels, labels)
-    (see :func:`_step_plan`; ``block_levels(v, *halves)`` builds the sums
-    of `v`'s rows within each GEMM block in place, and
-    ``batch_levels(v, *halves)`` the sum over all of them, the first level
-    written from `halves[j]` into ``v[:, j]`` when given), batch norm
-    reduces its batch statistics over
-    the global batch, `folds` holds per batch-norm layer (index, batch mean,
-    batch variance), and the softmax-xent layer writes the softmax over the
-    logits and outputs (loss sum, lowest logit), as a -inf logit can leave
-    the loss finite.  Run last layer first, the backward calls write the
-    gradient of each layer's output over that output, and a dense layer
-    writes its input gradient over its input.
+    Without `grad`, batch norm reads its span of `net.running` as it is when
+    the calls run and normalizes its input in place, the softmax-xent layer
+    makes no call and its output stays the logits, and no layer has a backward
+    call.  With `grad`, a training step's (c, gradient rows, batch statistics,
+    block levels, batch levels, labels) (see :func:`_step_plan`;
+    ``block_levels(v, *halves)`` builds the sums of `v`'s rows within each
+    GEMM block in place, and ``batch_levels(v, *halves)`` the sum over all of
+    them, the first level written from `halves[j]` into ``v[:, j]`` when
+    given), batch norm writes its (mean, variance) over the global batch into
+    its span of the batch statistics, a vector laid out like `net.running`,
+    and the softmax-xent layer writes the softmax over the logits and outputs
+    (loss sum, lowest logit), as a -inf logit can leave the loss finite.  Run
+    last layer first, the backward calls write the gradient of each layer's
+    output over that output, and a dense layer writes its input gradient over
+    its input.
     """
     n = len(x)
     if grad is not None:
-        c, part, block_levels, batch_levels, labels = grad
-    layers, folds = [], []
+        c, part, batch_stats, block_levels, batch_levels, labels = grad
+    layers = []
     row_calls = partial(_row_calls, alloc)
     a = x
     for i, (s, groups) in enumerate(zip(net.specs, net.layer_groups)):
@@ -362,8 +367,9 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
         elif s.kind == BATCHNORM:
             scale, shift = groups
             inv = alloc(("bninv", i), a.shape[1:])
+            means = (net.running if grad is None else batch_stats)[net.bn_spans[i]].reshape(2, -1)
+            mean, var = means
             if grad is None:
-                mean, var = net.bn_state[i]["mean"], net.bn_state[i]["var"]
                 xhat = a  # nothing reads it after the forward
             else:
                 if n < 2:
@@ -380,15 +386,12 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                 # coupling terms.
                 stats = alloc("bnsums", (2, n, a.shape[1])).transpose(1, 0, 2)
                 stat_levels, stat_sums = batch_levels(stats, a, xhat)
-                means = alloc(("bnmeans", i), (2, a.shape[1]))
-                mean, sq_mean = means
-                var = alloc(("bnvar", i), a.shape[1:])
+                # mean and mean square, then variance over the latter; inv is scratch until its add
                 fwd = [partial(np.multiply, a, a, xhat),
                        *stat_levels, partial(np.divide, stat_sums, n, means),
-                       partial(np.multiply, mean, mean, var),
-                       partial(np.subtract, sq_mean, var, var),
+                       partial(np.multiply, mean, mean, inv),
+                       partial(np.subtract, var, inv, var),
                        partial(np.maximum, var, 0.0, out=var)]
-                folds.append((i, mean, var))
                 spart = part[:, scale.span.start:shift.span.stop]
                 d_xhat = alloc("dxhat", a.shape)
                 spart_levels, sums = block_levels(stats, d_xhat, a)
@@ -434,7 +437,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             bwd = [partial(np.subtract.at, probs, picked, 1.0)]
             a = out
         layers.append((fwd, bwd, a))
-    return layers, folds
+    return layers
 
 
 def _forward(layers, check_each=False):
@@ -455,23 +458,24 @@ def _step_plan(net, n, shards):
 
     Built at the first step of that shape and kept in `net.plans`, so that a
     warm step makes no view and looks up no workspace array.  It holds the
-    layers and folds of :func:`_layer_calls` and one flat backward list: the
-    layers' backward lists, last layer first, then the tree over the
-    gradient rows.  The batch is gathered in `reduction.tree_order(n)`,
-    whatever the split, and every batch sum is a list of in-place steps
-    (`reduction.tree_levels`): within each GEMM block, and over the whole
-    batch.  Batch norm's stacked sums take their first level from the two
-    summands where they are (`reduction.first_level`), not from copies, and
-    write it into the stack's two contiguous halves.  The gradient rows are
-    a (B/c, |W| rounded up to 8) array, so that each row starts on a cache
-    line; the layers write its [:, :|W|] view and its zero padding is
-    summed with the rest.  Their tree stops at one row per aligned node of
-    s rows, s the largest power of two dividing m = B/P, so that no node
-    spans two shards: row p holds node `tree_order(B/s)[p]`, and the
+    layers of :func:`_layer_calls`, the three `fold` calls that fold their
+    batch statistics into `net.running` (run <- M * run + (1 - M) * batch, M =
+    BN_MOMENTUM), and one flat backward list: the layers' backward lists, last
+    layer first, then the tree over the gradient rows.  The batch is gathered
+    in `reduction.tree_order(n)`, whatever the split, and every batch sum is a
+    list of in-place steps (`reduction.tree_levels`): within each GEMM block,
+    and over the whole batch.  Batch norm's stacked sums take their first
+    level from the two summands where they are (`reduction.first_level`), not
+    from copies, and write it into the stack's two contiguous halves.  The
+    gradient rows are a (B/c, |W| rounded up to 8) array, so that each row
+    starts on a cache line; the layers write its [:, :|W|] view and its zero
+    padding is summed with the rest.  Their tree stops at one row per aligned
+    node of s rows, s the largest power of two dividing m = B/P, so that no
+    node spans two shards: row p holds node `tree_order(B/s)[p]`, and the
     returned `grads` is the (B/s, |W|) view of those rows; at P = 1 the tree
-    runs to the end and `grads` has one row.  The int arrays (the layout,
-    the gathered labels and their flat indices) stay out of
-    `net.workspace`, which holds a step's float arrays.
+    runs to the end and `grads` has one row.  The int arrays (the layout, the
+    gathered labels and their flat indices) stay out of `net.workspace`, which
+    holds a step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
@@ -523,11 +527,16 @@ def _step_plan(net, n, shards):
     part[:, size:] = 0.0  # the padding, summed with the rest and never read
     x = buf("input", (n, net.input_dim))
     labels = np.empty(n, np.int64)
-    layers, folds = _layer_calls(net, x, blocks, buf,
-                                 (c, part[:, :size], block_levels, batch_levels, labels))
+    run = net.running
+    batch, scaled = (buf(role, run.shape) for role in ("bnbatch", "bnscaled"))
+    layers = _layer_calls(net, x, blocks, buf,
+                          (c, part[:, :size], batch, block_levels, batch_levels, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
-        perm=tree_order(n), input=x, labels=labels, layers=layers, folds=folds,
+        perm=tree_order(n), input=x, labels=labels, layers=layers,
+        fold=[partial(np.multiply, run, BN_MOMENTUM, run),
+              partial(np.multiply, 1.0 - BN_MOMENTUM, batch, scaled),
+              partial(np.add, run, scaled, run)],
         backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
         grads=grads[:, :size],
     )
@@ -596,11 +605,7 @@ def forward_backward_shards(net, x, y, shards):
         loss_sum, lowest = _forward(plan.layers)
         if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
             _forward(plan.layers, check_each=True)  # raises, naming the layer
-    for i, mean, var in plan.folds:
-        # in place: the evaluation plan reads these arrays
-        for run, batch in ((net.bn_state[i]["mean"], mean), (net.bn_state[i]["var"], var)):
-            run *= BN_MOMENTUM
-            run += (1.0 - BN_MOMENTUM) * batch
+    run_levels(plan.fold)  # before the backward, which writes over the batch statistics
     probs = plan.layers[-2][2]  # the loss layer's input, which its softmax overwrote
     correct = int(np.count_nonzero(probs.argmax(axis=1) == y))
     run_levels(plan.backward)
@@ -704,9 +709,9 @@ def _eval_plan(net, n):
     each dense layer one stacked GEMM of a GEMM per block, and the n %
     EVAL_ROWS rows left are a walk of their own, so that each row meets the
     GEMM shape of a per-block walk (padding the last block to EVAL_ROWS rows
-    changes logit bits).  Batch norm reads the arrays of `net.bn_state` when
-    the calls run, which a training step updates in place; the plan keeps
-    them as `reads`, so that an evaluation after they were rebound rebuilds it.
+    changes logit bits).  Batch norm reads its span of `net.running` when
+    the calls run, which a training step updates in place, so the plan
+    serves every evaluation of `n` rows.
     """
     full = n - n % EVAL_ROWS
     walks = []
@@ -714,12 +719,8 @@ def _eval_plan(net, n):
                          (n - full, lambda v: v)):
         if rows:
             x = aligned_empty((rows, net.input_dim))
-            walks.append((x, _layer_calls(net, x, blocks, _eval_alloc())[0]))
-    return SimpleNamespace(rows=n, walks=walks, reads=_running_stats(net))
-
-
-def _running_stats(net):
-    return [a for st in net.bn_state.values() for a in (st["mean"], st["var"])]
+            walks.append((x, _layer_calls(net, x, blocks, _eval_alloc())))
+    return SimpleNamespace(rows=n, walks=walks)
 
 
 def _evaluate(net, inputs):
@@ -732,8 +733,7 @@ def _evaluate(net, inputs):
     first layer at which any row's output is not finite.
     """
     plan = net.plans.get("eval")
-    if (plan is None or plan.rows != len(inputs)
-            or any(a is not b for a, b in zip(plan.reads, _running_stats(net)))):
+    if plan is None or plan.rows != len(inputs):
         plan = net.plans["eval"] = _eval_plan(net, len(inputs))
     start, outs, overflows = 0, [], []
     with np.errstate(all="ignore"):

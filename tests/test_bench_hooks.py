@@ -54,12 +54,21 @@ def load_spans():
     return spans
 
 
-@pytest.mark.parametrize("P", [1, 3, 16])
-def test_traced_all_reduce_is_the_cost_model_tree(P):
+# Where B/P is not a power of two, the gradient tree stops at more aligned
+# nodes than there are workers, and the all-reduce combines those node rows:
+# (24, 2) traces 3 stages and 5|W| words against the model's 1 message, and
+# (45, 5) 6 stages and 44|W| words against 3 messages.
+NODE_OWNERS = pytest.mark.xfail(reason="ROADMAP item 5: messages from node owners", strict=True)
+
+
+@pytest.mark.parametrize("B, P", [  # each case is named by its worker count
+    pytest.param(16, 1, id="1"), pytest.param(48, 3, id="3"), pytest.param(256, 16, id="16"),
+    pytest.param(24, 2, id="2", marks=NODE_OWNERS), pytest.param(45, 5, id="5", marks=NODE_OWNERS),
+])
+def test_traced_all_reduce_is_the_cost_model_tree(B, P):
     # The traced bench counts what the simulated all-reduce combines, to hold
     # it against the cost model: one step at P workers runs the model's
     # ceil(log2 P) stages and receives (P - 1) * |W| words.
-    B = 16 * P
     net = nn.init_network(SMALL_SPECS, 0)
     x, y = random_batch(P, n=B)
     hp = optim.HyperParams(base_lr=0.05, epochs=1, batch_size=B)

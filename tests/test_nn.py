@@ -73,6 +73,18 @@ class TestInit:
         with pytest.raises(AttributeError):
             net.params["dense0.weight"].param = np.zeros((2, 4))
 
+    def test_running_statistics_cannot_be_rebound(self):
+        # bn_state's mappings are read-only views of the flat running
+        # statistics: a rebinding fails at once, and writes go into the vector
+        net = nn.init_network(SMALL_SPECS, 3)
+        with pytest.raises(TypeError):
+            net.bn_state[1] = {"mean": np.zeros(4), "var": np.ones(4)}
+        with pytest.raises(TypeError):
+            net.bn_state[1]["mean"] = np.zeros(4)
+        assert net.running.tolist() == [0.0] * 4 + [1.0] * 4
+        net.bn_state[1]["var"][:] = 2.0
+        assert net.running.tolist() == [0.0] * 4 + [2.0] * 4
+
     def test_incompatible_dims_names_layers(self):
         specs = [nn.dense(2, 4), nn.dense(5, 3), nn.softmax_xent()]
         with pytest.raises(ConfigError, match="0->1"):
@@ -258,7 +270,8 @@ class TestStepPlan:
         x, y = random_batch(B, n=B)
         grads = nn.forward_backward_shards(net, x, y, P)[2]
         p = net.params
-        arrays = [*net.workspace.values(), p.param, p.grad, p.momentum, p.rate, p.step, *grads]
+        arrays = [*net.workspace.values(), net.running,
+                  p.param, p.grad, p.momentum, p.rate, p.step, *grads]
         assert [a.ctypes.data % nn.CACHE_LINE for a in arrays] == [0] * len(arrays)
         assert grads.shape == (P, p.param.size)
 
@@ -386,12 +399,32 @@ class TestBatchNorm:
         assert errs["bn1.shift"] < 1e-5
 
     def test_running_stats_track_batches(self):
-        net = nn.init_network(SMALL_SPECS, 1)
-        x, y = random_batch(8, n=32)
-        before = net.bn_state[1]["mean"].copy()
-        nn.loss_and_grad(net, x, y)
-        after = net.bn_state[1]["mean"]
-        assert not np.array_equal(before, after)
+        # Each step folds each layer's batch (mean, variance), computed here
+        # with numpy over the layer's input, into its running statistics:
+        # M * prev + (1 - M) * batch.  The two layers have different widths,
+        # so a span of `net.running` or of the batch statistics taken for
+        # another layer's, or a mean for a variance, gives other values.
+        specs = [nn.dense(2, 8), nn.batchnorm(), nn.relu(), nn.dense(8, 5), nn.batchnorm(),
+                 nn.relu(), nn.dense(5, 3), nn.softmax_xent()]
+        net = nn.init_network(specs, 1)
+        groups, M = net.layer_groups, nn.BN_MOMENTUM
+        want = {i: [np.zeros(w), np.ones(w)] for i, w in ((1, 8), (4, 5))}
+        for step in range(2):
+            x, y = random_batch(8 + step, n=32)
+            h = x
+            for i in want:  # each batch norm follows a dense layer
+                w, b, scale, shift = (g.param for g in groups[i - 1] + groups[i])
+                h = h @ w + b
+                mean, var = h.mean(axis=0), h.var(axis=0)
+                want[i] = [M * prev + (1 - M) * now for prev, now in zip(want[i], (mean, var))]
+                h = np.maximum((h - mean) / np.sqrt(var + nn.BN_EPS) * scale + shift, 0.0)
+            nn.loss_and_grad(net, x, y)
+            net.params.param -= 0.5 * net.params.grad
+            for i, (mean, var) in want.items():
+                np.testing.assert_allclose(net.bn_state[i]["mean"], mean, rtol=1e-12)
+                np.testing.assert_allclose(net.bn_state[i]["var"], var, rtol=1e-12)
+            np.testing.assert_allclose(net.running, np.concatenate(want[1] + want[4]),
+                                       rtol=1e-12)
 
     def test_training_never_reads_running_stats(self):
         # training normalizes with batch statistics, so poisoned running
@@ -420,7 +453,7 @@ class TestEval:
         logits = []
         for start in range(0, len(x), nn.EVAL_ROWS):
             rows = x[start:start + nn.EVAL_ROWS]
-            layers = nn._layer_calls(net, rows, lambda v: v, lambda role, shape: np.empty(shape))[0]
+            layers = nn._layer_calls(net, rows, lambda v: v, lambda role, shape: np.empty(shape))
             logits.append(nn._forward(layers))
         return np.concatenate(logits)
 
@@ -455,9 +488,12 @@ class TestEval:
         nn.accuracy(net, x[:65], y[:65])
         assert net.plans["eval"] is not plan and net.plans["eval"].rows == 65
         assert list(net.plans) == [(16, 1), "eval"]  # the training step plan, and one evaluation plan
-        # running statistics rebound, not updated in place, are read too
-        net.bn_state[1] = {"mean": net.bn_state[1]["mean"] + 1.0, "var": 2.0 * net.bn_state[1]["var"]}
+        # running statistics written in place are read by the kept plan
+        plan = net.plans["eval"]
+        net.bn_state[1]["mean"][:] += 1.0
+        net.bn_state[1]["var"][:] *= 2.0
         assert nn.predict_logits(net, x[:65]).tobytes() == self._per_block(net, x[:65]).tobytes()
+        assert net.plans["eval"] is plan
 
     def test_evaluation_plan_keeps_two_arrays_per_width(self):
         # Batch norm normalizes in place and a relu's mask is the array its
