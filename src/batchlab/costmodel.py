@@ -101,7 +101,7 @@ def total_time(profile, spec, epochs, n, batch_size):
     """
     iters = iterations(epochs, n, batch_size)
     t_comp, t_comm, t_iter = iteration_time(profile, spec, batch_size)
-    volume = comm_volume(profile, epochs, n, batch_size)
+    volume = profile.num_params * iters  # comm_volume's, which would count (and warn) again
     flops = total_flops(profile, epochs, n)
     pj_per_flop = 0.5 * (_ENERGY_PJ["32 bit float add"] + _ENERGY_PJ["32 bit float multiply"])
     energy_joules = (flops * pj_per_flop + volume * _ENERGY_PJ["32 bit DRAM access"]) * 1e-12

@@ -12,9 +12,11 @@ GEMM block and where the parameter gradient's tree stops: at aligned
 nodes that no worker boundary cuts, whose sums the all-reduce finishes
 with the rest of the same tree.  Wherever the split keeps the 1-worker
 GEMM blocks, both runs perform bit-identical arithmetic.  A training step
-carries the batch in `reduction.tree_order`, so that every batch sum runs
-the in-place levels of `reduction.tree_levels` over contiguous halves;
-the layout changes which rows are stored where, not which rows are added.
+carries the batch in `reduction.tree_order`, so that every batch sum is
+one `reduction.tree_levels`, whose levels add contiguous halves; the
+layout changes which rows are stored where, not which rows are added.
+Batch norm's trees write their first level into arrays of their own, as
+the summands are read again after the sums.
 
 Each layer kind, the softmax cross-entropy loss among them, is written
 once, in :func:`_layer_calls`, which builds a layer's forward and backward
@@ -47,7 +49,6 @@ from .errors import (
 # A step runs prebuilt levels and calls neither tree_sum nor tree_reduce, but
 # nn keeps both names: bench/spans.py traces the engine's batch sums through them.
 from .reduction import (  # noqa: F401
-    first_level,
     run_levels,
     tree_levels,
     tree_order,
@@ -69,7 +70,6 @@ NORM_SCALE = "norm-scale"
 NORM_SHIFT = "norm-shift"
 
 CACHE_LINE = 64  # bytes: a cache line, and one AVX-512 vector
-TAIL_ROWS = 32  # batch norm's stacked batch sums run their last levels on a contiguous copy
 
 
 def aligned_empty(shape):
@@ -128,9 +128,8 @@ class ParamSet:
     `param`, `grad` and `momentum` each hold every group back to back, in
     construction order; a group's `.param`, `.grad` and `.momentum_buf` are
     shaped views of its span, so writes through either side are shared.
-    `rate` and `step` are flat scratch vectors of the same layout that the
-    optimizer update writes.  All five start on a cache line
-    (:func:`aligned_empty`).
+    `step` is a flat scratch vector of the same layout that the optimizer
+    update writes.  All four start on a cache line (:func:`aligned_empty`).
     """
 
     def __init__(self, groups):
@@ -142,7 +141,7 @@ class ParamSet:
         size = (sum(a.size for _, _, a in groups),)
         self.param = np.concatenate([a.reshape(-1) for _, _, a in groups],
                                     out=aligned_empty(size))
-        self.grad, self.momentum, self.rate, self.step = (aligned_empty(size) for _ in range(4))
+        self.grad, self.momentum, self.step = (aligned_empty(size) for _ in range(3))
         self.grad.fill(0.0)
         self.momentum.fill(0.0)
         self.groups = []
@@ -174,6 +173,8 @@ class Network:
     `running` is one float64 vector, starting on a cache line, of each batch
     norm's running mean and variance, layer i's at its span `bn_spans[i]`;
     `bn_state[i]` is a read-only mapping of `mean` and `var` to views of them.
+    `params` and `running` are read-only attributes, as the plans hold views
+    of their arrays: they are written in place.
     The workspace holds the float64 arrays a training step writes, keyed by
     (role, shape), and `plans` the step plan of each (B, P) split, the calls
     over those arrays that a step makes.  Both start empty; the first step of
@@ -185,8 +186,7 @@ class Network:
 
     def __init__(self, specs, params, running, bn_spans, layer_groups, input_dim, num_classes):
         self.specs = list(specs)
-        self.params = params
-        self.running, self.bn_spans = running, bn_spans
+        self._params, self._running, self.bn_spans = params, running, bn_spans
         self.bn_state = MappingProxyType({
             i: MappingProxyType(dict(zip(("mean", "var"), running[span].reshape(2, -1))))
             for i, span in bn_spans.items()})
@@ -195,6 +195,9 @@ class Network:
         self.num_classes = num_classes
         self.workspace = {}
         self.plans = {}  # (B, P) -> step plan (nn._step_plan); "eval" -> nn._eval_plan
+
+    params = property(lambda self: self._params)
+    running = property(lambda self: self._running)
 
     def buffer(self, role, shape):
         """The float64 workspace array for (role, shape), created on first use
@@ -323,21 +326,20 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     the calls run and normalizes its input in place, the softmax-xent layer
     makes no call and its output stays the logits, and no layer has a backward
     call.  With `grad`, a training step's (c, gradient rows, batch statistics,
-    block levels, batch levels, labels) (see :func:`_step_plan`;
-    ``block_levels(v, *halves)`` builds the sums of `v`'s rows within each
-    GEMM block in place, and ``batch_levels(v, *halves)`` the sum over all of
-    them, the first level written from `halves[j]` into ``v[:, j]`` when
-    given), batch norm writes its (mean, variance) over the global batch into
-    its span of the batch statistics, a vector laid out like `net.running`,
-    and the softmax-xent layer writes the softmax over the logits and outputs
-    (loss sum, lowest logit), as a -inf logit can leave the loss finite.  Run
-    last layer first, the backward calls write the gradient of each layer's
-    output over that output, and a dense layer writes its input gradient over
-    its input.
+    block levels, labels) (see :func:`_step_plan`; ``block_levels(v, into)``
+    builds the sums of `v`'s rows within each GEMM block, as
+    `reduction.tree_levels` does, and every sum over the whole batch is a
+    `reduction.tree_levels` of its own), batch norm writes its (mean,
+    variance) over the global batch into its span of the batch statistics, a
+    vector laid out like `net.running`, and the softmax-xent layer writes the
+    softmax over the logits and outputs (loss sum, lowest logit), as a -inf
+    logit can leave the loss finite.  Run last layer first, the backward calls
+    write the gradient of each layer's output over that output, and a dense
+    layer writes its input gradient over its input.
     """
     n = len(x)
     if grad is not None:
-        c, part, batch_stats, block_levels, batch_levels, labels = grad
+        c, part, batch_stats, block_levels, labels = grad
     layers = []
     row_calls = partial(_row_calls, alloc)
     a = x
@@ -376,38 +378,36 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                     raise DegenerateBatchError(f"batchnorm layer {i}: training-mode "
                                                "statistics need a batch of >= 2")
                 xhat = alloc(("batchnorm", i), a.shape)
-                # one tree over the stacked [a, a*a] forward and [d * xhat, d]
-                # backward, whose first level reads the two summands where
-                # they are: a*a over xhat, which the forward rewrites after
-                # the sums, and d * xhat in an array of its own.  Each half
-                # is contiguous, so that the first level writes whole rows.
-                # The block sums of the latter are copied into the adjacent
-                # scale and shift spans, and their batch sums give the
-                # coupling terms.
-                stats = alloc("bnsums", (2, n, a.shape[1])).transpose(1, 0, 2)
-                stat_levels, stat_sums = batch_levels(stats, a, xhat)
-                # mean and mean square, then variance over the latter; inv is scratch until its add
-                fwd = [partial(np.multiply, a, a, xhat),
-                       *stat_levels, partial(np.divide, stat_sums, n, means),
-                       partial(np.multiply, mean, mean, inv),
-                       partial(np.subtract, var, inv, var),
-                       partial(np.maximum, var, 0.0, out=var)]
-                spart = part[:, scale.span.start:shift.span.stop]
+                sums = [alloc(("bnsum", j), a.shape) for j in range(2)]
+                # the mean and the mean square (a*a over xhat, which the
+                # forward rewrites after the sums), each tree writing its
+                # first level into an array of its own, so that `a` is only
+                # read; then the variance over the latter (inv is scratch
+                # until its add)
+                fwd = [partial(np.multiply, a, a, xhat)]
+                for j, summand in enumerate((a, xhat)):
+                    steps, total = tree_levels(summand, sums[j])
+                    fwd += [*steps, partial(np.divide, total, n, means[j])]
+                fwd += [partial(np.multiply, mean, mean, inv),
+                        partial(np.subtract, var, inv, var),
+                        partial(np.maximum, var, 0.0, out=var)]
+                # the block sums of d * xhat and of d, copied into the scale
+                # and shift spans, whose trees then give the coupling terms;
+                # then, in place, d <- scale * inv * (d - mean_t1 - xhat *
+                # mean_t2); xhat and inv are spent after this
                 d_xhat = alloc("dxhat", a.shape)
-                spart_levels, sums = block_levels(stats, d_xhat, a)
-                coupling_levels, coupling_sums = batch_levels(sums)
+                bwd = [partial(np.multiply, a, xhat, d_xhat)]
+                for j, (summand, group) in enumerate(((d_xhat, scale), (a, shift))):
+                    steps, block_sums = block_levels(summand, sums[j])
+                    coupling, total = tree_levels(block_sums)
+                    bwd += [*steps, partial(np.copyto, part[:, group.span], block_sums),
+                            *coupling, partial(np.divide, total, n, means[j])]
                 mean_t2, mean_t1 = means
-                # the block sums of [d * xhat, d], then, in place,
-                # d <- scale * inv * (d - mean_t1 - xhat * mean_t2); xhat and
-                # inv are spent after this
-                bwd = [partial(np.multiply, a, xhat, d_xhat),
-                       *spart_levels, partial(np.copyto, spart.reshape(sums.shape), sums),
-                       *coupling_levels, partial(np.divide, coupling_sums, n, means),
-                       *row_calls(np.subtract, a, mean_t1, a),
-                       *row_calls(np.multiply, xhat, mean_t2, xhat),
-                       partial(np.subtract, a, xhat, a),
-                       partial(np.multiply, scale.param, inv, inv),
-                       *row_calls(np.multiply, a, inv, a)]
+                bwd += [*row_calls(np.subtract, a, mean_t1, a),
+                        *row_calls(np.multiply, xhat, mean_t2, xhat),
+                        partial(np.subtract, a, xhat, a),
+                        partial(np.multiply, scale.param, inv, inv),
+                        *row_calls(np.multiply, a, inv, a)]
             fwd += [partial(np.add, var, s.eps, inv), partial(np.sqrt, inv, inv),
                     partial(np.divide, 1.0, inv, inv), *row_calls(np.subtract, a, mean, xhat),
                     *row_calls(np.multiply, xhat, inv, xhat),
@@ -417,7 +417,7 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             out = alloc("loss", (2,))
             row = alloc("softmax", (n, 1))
             losses = alloc("losses", (n,))
-            loss_levels, loss_sum = batch_levels(losses)
+            loss_levels, loss_sum = tree_levels(losses)
             probs = a.reshape(-1)
             row_starts = np.arange(n) * a.shape[1]
             picked = np.empty(n, np.int64)  # the flat index of each row's label
@@ -462,20 +462,19 @@ def _step_plan(net, n, shards):
     batch statistics into `net.running` (run <- M * run + (1 - M) * batch, M =
     BN_MOMENTUM), and one flat backward list: the layers' backward lists, last
     layer first, then the tree over the gradient rows.  The batch is gathered
-    in `reduction.tree_order(n)`, whatever the split, and every batch sum is a
-    list of in-place steps (`reduction.tree_levels`): within each GEMM block,
-    and over the whole batch.  Batch norm's stacked sums take their first
-    level from the two summands where they are (`reduction.first_level`), not
-    from copies, and write it into the stack's two contiguous halves.  The
-    gradient rows are a (B/c, |W| rounded up to 8) array, so that each row
-    starts on a cache line; the layers write its [:, :|W|] view and its zero
-    padding is summed with the rest.  Their tree stops at one row per aligned
-    node of s rows, s the largest power of two dividing m = B/P, so that no
-    node spans two shards: row p holds node `tree_order(B/s)[p]`, and the
-    returned `grads` is the (B/s, |W|) view of those rows; at P = 1 the tree
-    runs to the end and `grads` has one row.  The int arrays (the layout, the
-    gathered labels and their flat indices) stay out of `net.workspace`, which
-    holds a step's float arrays.
+    in `reduction.tree_order(n)`, whatever the split, and every batch sum is
+    one `reduction.tree_levels`: within each GEMM block over the (c, B/c,
+    ...) reshape, and over the whole batch on the array itself.  Batch norm's
+    sums write their first level into arrays of their own, so that the
+    summands are only read.  The gradient rows are a (B/c, |W| rounded up to
+    8) array, so that each row starts on a cache line; the layers write its
+    [:, :|W|] view and its zero padding is summed with the rest.  Their tree
+    stops at one row per aligned node of s rows, s the largest power of two
+    dividing m = B/P, so that no node spans two shards: row p holds node
+    `tree_order(B/s)[p]`, and the returned `grads` is the (B/s, |W|) view of
+    those rows; at P = 1 the tree runs to the end and `grads` has one row.
+    The int arrays (the layout, the gathered labels and their flat indices)
+    stay out of `net.workspace`, which holds a step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
@@ -485,40 +484,10 @@ def _step_plan(net, n, shards):
     def blocks(v):
         return v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1)
 
-    def levels(v, group, halves):
-        # the tree over v's rows taken `group` at a time, in place; with
-        # `halves`, its first level is written from halves[j] into v[:, j]
-        # instead, so that v never holds a copy of them
-        rows = lambda u: u.reshape(-1, group, *u.shape[1:])
-        steps = []
-        for j, half in enumerate(halves):
-            level, live = first_level(rows(half), rows(v[:, j]))
-            steps += level
-        if halves:
-            v = v[:len(live) * group]
-        v = rows(v)
-        if group == 1 and not v.flags.c_contiguous:
-            # batch norm's stacked sums over the whole batch: a level over
-            # the strided halves costs several contiguous ones, so the levels
-            # of TAIL_ROWS rows or fewer run on a contiguous copy
-            while len(v) > TAIL_ROWS:
-                level, v = first_level(v, v)
-                steps += level
-            if len(v) > 1:
-                tail = buf("bntail", v.shape)
-                steps.append(partial(np.copyto, tail, v))
-                v = tail
-        more, total = tree_levels(v)
-        return steps + more, total
-
-    def block_levels(v, *halves):
-        # the tree within each block; its (B/c, ...) block sums
-        return levels(v, q, halves)
-
-    def batch_levels(v, *halves):
-        # the tree over all of v's rows; the sum over the whole batch
-        steps, total = levels(v, 1, halves)
-        return steps, total[0] if total.ndim > 1 else total
+    def block_levels(v, into=None):
+        # the tree within each block, written into `into` if given; its (B/c, ...) block sums
+        stack = lambda u: u if u is None else u.reshape(c, q, *u.shape[1:])
+        return tree_levels(stack(v), stack(into))
 
     buf = net.buffer
     size = net.params.param.size
@@ -530,7 +499,7 @@ def _step_plan(net, n, shards):
     run = net.running
     batch, scaled = (buf(role, run.shape) for role in ("bnbatch", "bnscaled"))
     layers = _layer_calls(net, x, blocks, buf,
-                          (c, part[:, :size], batch, block_levels, batch_levels, labels))
+                          (c, part[:, :size], batch, block_levels, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
         perm=tree_order(n), input=x, labels=labels, layers=layers,

@@ -138,20 +138,18 @@ def apply_update(params, hp, lr, iteration=0):
     Lambdas come per group from its views; the step itself runs once over
     the flat vectors, lambda * lr * g written into `params.step`.  Without
     LARS every lambda is 1, so the step is scaled by lr itself; with LARS
-    each group's lambda * lr is first written over its span of
-    `params.rate`.  The update is finite exactly when the largest and the
-    smallest parameter are, as both are NaN if any parameter is; only a
-    non-finite update looks for the first group that is not finite.
+    each group's span of the step is scaled in place by its lambda * lr.
+    The update is finite exactly when the largest and the smallest
+    parameter are, as both are NaN if any parameter is; only a non-finite
+    update looks for the first group that is not finite.
     """
     lambdas = {g.name: group_local_lr(g, hp) for g in params}
     step = params.step
     np.multiply(params.param, hp.weight_decay, out=step)
     step += params.grad
     if hp.lars_enabled:
-        rate = params.rate
         for g in params:
-            rate[g.span] = lambdas[g.name] * lr
-        step *= rate
+            step[g.span] *= lambdas[g.name] * lr
     else:
         step *= lr
     params.momentum *= hp.momentum

@@ -18,9 +18,10 @@ FFT, under which a level adds the second half of the live rows to the first.
 over views of the summands, so a caller that sums the same arrays every
 step builds the list once and runs it with :func:`run_levels`;
 :func:`tree_sum` builds one and runs it at once.  :func:`first_level`
-builds one level of :func:`tree_sum` from the summands into another
-array, so that a caller can sum values it never stores; :func:`tree_levels`
-is that level run in place, level after level.
+builds one level of :func:`tree_sum` from the summands into another array,
+and :func:`tree_levels` is that level run in place, level after level; given
+a second array, its first level writes there, so that a caller can sum
+values it must keep, like batch norm's input, without copying them.
 """
 
 import functools
@@ -70,19 +71,22 @@ def first_level(src, dst):
     return steps, dst[:h + k % 2]
 
 
-def tree_levels(values):
+def tree_levels(values, into=None):
     """:func:`tree_sum`'s steps over `values`, built once: (steps, total).
 
     `steps` is :func:`first_level` with `dst` = `src`, level after level,
     over the live rows of `values`: a level of k rows adds rows [h, 2h)
     into rows [0, h), h = k // 2, and copies an odd last row to row h.
-    After ``run_levels(steps)``, `total` is a view of row 0 holding the sum.
+    With `into`, the first level is ``first_level(values, into)`` and the
+    later ones run in place over `into`, so `values` is only read.  After
+    ``run_levels(steps)``, `total` is a view of row 0 of `into`, or of
+    `values` without it, holding the sum.
     """
-    steps, live = [], values
+    steps, live = ([], values) if into is None else first_level(values, into)
     while len(live) > 1:
         level, live = first_level(live, live)
         steps += level
-    return steps, _total(values)
+    return steps, _total(values if into is None else into)
 
 
 def run_levels(steps):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -114,6 +115,7 @@ class TestTotalTime:
         rep = costmodel.total_time(resnet50(), spec, 100, 1_280_000, 8192)
         assert rep.total_time == rep.iterations * rep.t_iter
         assert rep.messages == rep.iterations * 4  # ceil(log2 16)
+        assert rep.comm_volume_words == costmodel.comm_volume(resnet50(), 100, 1_280_000, 8192)
 
     def test_single_worker_zero_messages(self):
         spec = costmodel.cluster_preset("intel_qdr", workers=1)
@@ -138,6 +140,15 @@ class TestTotalTime:
             if prev is not None:
                 assert comp == prev / 2
             prev = comp
+
+    def test_oversized_batch_warns_once(self):
+        # the report counts its iterations once: one warning, not one per count
+        spec = costmodel.cluster_preset("mellanox_fdr", workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = costmodel.total_time(alexnet(), spec, 1, 1000, 2048)
+        assert [w.category for w in caught] == [UserWarning]
+        assert rep.iterations == rep.comm_volume_words == 0
 
     def test_energy_uses_flop_mix_and_dram_words(self):
         spec = costmodel.cluster_preset("mellanox_fdr", workers=2)

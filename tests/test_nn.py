@@ -85,6 +85,26 @@ class TestInit:
         net.bn_state[1]["var"][:] = 2.0
         assert net.running.tolist() == [0.0] * 4 + [2.0] * 4
 
+    def test_network_arrays_cannot_be_rebound(self):
+        # the plans' calls are bound to net.params' and net.running's arrays,
+        # so both are written in place and neither can be rebound
+        net = nn.init_network(SMALL_SPECS, 1)
+        x, y = random_batch(8)
+        nn.loss_and_grad(net, x, y)
+        with pytest.raises(AttributeError):
+            net.running = net.running.copy()
+        with pytest.raises(AttributeError):
+            net.params = nn.init_network(SMALL_SPECS, 2).params
+        # in place, a step sees both writes
+        other = nn.init_network(SMALL_SPECS, 2)
+        net.running[:] = other.running
+        net.params.param[:] = other.params.param
+        assert nn.loss_and_grad(net, x, y) == nn.loss_and_grad(other, x, y)
+        assert net.checksum() == other.checksum()
+        net.params.param -= 1.0
+        assert np.array_equal(net.params["dense0.weight"].param,
+                              other.params["dense0.weight"].param - 1.0)
+
     def test_incompatible_dims_names_layers(self):
         specs = [nn.dense(2, 4), nn.dense(5, 3), nn.softmax_xent()]
         with pytest.raises(ConfigError, match="0->1"):
@@ -271,7 +291,7 @@ class TestStepPlan:
         grads = nn.forward_backward_shards(net, x, y, P)[2]
         p = net.params
         arrays = [*net.workspace.values(), net.running,
-                  p.param, p.grad, p.momentum, p.rate, p.step, *grads]
+                  p.param, p.grad, p.momentum, p.step, *grads]
         assert [a.ctypes.data % nn.CACHE_LINE for a in arrays] == [0] * len(arrays)
         assert grads.shape == (P, p.param.size)
 

@@ -73,17 +73,18 @@ def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
     # the sum is left in row 0 of the summands and returned as a view of it
     assert ordered[0].tobytes() == expected
     assert values.ndim == 1 or np.shares_memory(total, ordered[0])
-    # batch norm writes the first level from summands it never copies into
-    # an array of its own, which the later levels then sum in place: the
-    # source stays unwritten, and one row is copied
+    # batch norm sums summands it must keep with the first level written
+    # into an array of its own, which the later levels then sum in place:
+    # the source stays unwritten, and the total is row 0 of the destination
     src = values[tree_order(len(values))]
     dst = np.full_like(values, np.nan)
-    steps, live = first_level(src, dst)
-    more, total = tree_levels(live)
-    run_levels(steps + more)
+    steps, total = tree_levels(src, dst)
+    run_levels(steps)
     assert total.tobytes() == expected
-    assert len(live) == (len(values) + 1) // 2
+    assert np.shares_memory(total, dst[:1])
     assert src.tobytes() == values[tree_order(len(values))].tobytes()
+    # that first level fills the destination's first ceil(k/2) rows
+    assert len(first_level(src, dst)[1]) == (len(values) + 1) // 2
 
 
 @given(st.integers(0, 5), st.integers(1, 12))
