@@ -100,10 +100,10 @@ def _read_exact(data, offset, count, path):
 
 
 def load_idx_images(path):
-    """Read an IDX3 image file into a float array scaled to [0, 1]."""
+    """Read an IDX3 image file (unsigned 32-bit header words) into a float array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, count, rows, cols = struct.unpack(">iiii", _read_exact(data, 0, 16, path))
+    magic, count, rows, cols = struct.unpack(">IIII", _read_exact(data, 0, 16, path))
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"{path}: bad image magic {magic:#010x} at byte 0")
     expected = 16 + count * rows * cols
@@ -116,7 +116,7 @@ def load_idx_images(path):
 def load_idx_labels(path, num_classes):
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, count = struct.unpack(">ii", _read_exact(data, 0, 8, path))
+    magic, count = struct.unpack(">II", _read_exact(data, 0, 8, path))
     if magic != IDX_LABELS_MAGIC:
         raise FormatError(f"{path}: bad label magic {magic:#010x} at byte 0")
     expected = 8 + count

@@ -15,8 +15,8 @@ GEMM blocks, both runs perform bit-identical arithmetic.  A training step
 carries the batch in `reduction.tree_order`, so that every batch sum is
 one `reduction.tree_levels`, whose levels add contiguous halves; the
 layout changes which rows are stored where, not which rows are added.
-Batch norm's trees write their first level into arrays of their own, as
-the summands are read again after the sums.
+Batch norm's variance is the centered mean of (a - mean)**2, and its four
+sums take one scratch array in turn.
 
 Each layer kind, the softmax cross-entropy loss among them, is written
 once, in :func:`_layer_calls`, which builds a layer's forward and backward
@@ -369,47 +369,46 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
         elif s.kind == BATCHNORM:
             scale, shift = groups
             inv = alloc(("bninv", i), a.shape[1:])
-            means = (net.running if grad is None else batch_stats)[net.bn_spans[i]].reshape(2, -1)
-            mean, var = means
+            stats = net.running if grad is None else batch_stats
+            mean, var = stats[net.bn_spans[i]].reshape(2, -1)
             if grad is None:
                 xhat = a  # nothing reads it after the forward
+                fwd = row_calls(np.subtract, a, mean, xhat)
             else:
                 if n < 2:
                     raise DegenerateBatchError(f"batchnorm layer {i}: training-mode "
                                                "statistics need a batch of >= 2")
                 xhat = alloc(("batchnorm", i), a.shape)
-                sums = [alloc(("bnsum", j), a.shape) for j in range(2)]
-                # the mean and the mean square (a*a over xhat, which the
-                # forward rewrites after the sums), each tree writing its
-                # first level into an array of its own, so that `a` is only
-                # read; then the variance over the latter (inv is scratch
-                # until its add)
-                fwd = [partial(np.multiply, a, a, xhat)]
-                for j, summand in enumerate((a, xhat)):
-                    steps, total = tree_levels(summand, sums[j])
-                    fwd += [*steps, partial(np.divide, total, n, means[j])]
-                fwd += [partial(np.multiply, mean, mean, inv),
-                        partial(np.subtract, var, inv, var),
-                        partial(np.maximum, var, 0.0, out=var)]
-                # the block sums of d * xhat and of d, copied into the scale
-                # and shift spans, whose trees then give the coupling terms;
-                # then, in place, d <- scale * inv * (d - mean_t1 - xhat *
-                # mean_t2); xhat and inv are spent after this
-                d_xhat = alloc("dxhat", a.shape)
-                bwd = [partial(np.multiply, a, xhat, d_xhat)]
-                for j, (summand, group) in enumerate(((d_xhat, scale), (a, shift))):
-                    steps, block_sums = block_levels(summand, sums[j])
+                sums = alloc("bnsum", a.shape)  # each sum ends before the next starts
+                # the mean, its first level written into `sums` so that `a` is
+                # only read; then xhat = a - mean and the variance as the mean
+                # of xhat * xhat (E[a*a] - mean*mean cancels: see README)
+                mean_levels, mean_sum = tree_levels(a, sums)
+                var_levels, var_sum = tree_levels(sums)
+                fwd = [*mean_levels, partial(np.divide, mean_sum, n, mean),
+                       *row_calls(np.subtract, a, mean, xhat),
+                       partial(np.multiply, xhat, xhat, sums),
+                       *var_levels, partial(np.divide, var_sum, n, var)]
+                # the block sums of d * xhat (in place) and of d (read again,
+                # so its first level goes into `sums`), copied into the scale
+                # and shift spans, whose trees give the coupling terms; then,
+                # in place, d <- scale * inv * (d - mean_t1 - xhat * mean_t2);
+                # xhat and inv are spent after this
+                bwd = [partial(np.multiply, a, xhat, sums)]
+                mean_t2, mean_t1 = var, mean
+                for summand, into, group, term in ((sums, None, scale, mean_t2),
+                                                   (a, sums, shift, mean_t1)):
+                    steps, block_sums = block_levels(summand, into)
                     coupling, total = tree_levels(block_sums)
                     bwd += [*steps, partial(np.copyto, part[:, group.span], block_sums),
-                            *coupling, partial(np.divide, total, n, means[j])]
-                mean_t2, mean_t1 = means
+                            *coupling, partial(np.divide, total, n, term)]
                 bwd += [*row_calls(np.subtract, a, mean_t1, a),
                         *row_calls(np.multiply, xhat, mean_t2, xhat),
                         partial(np.subtract, a, xhat, a),
                         partial(np.multiply, scale.param, inv, inv),
                         *row_calls(np.multiply, a, inv, a)]
             fwd += [partial(np.add, var, s.eps, inv), partial(np.sqrt, inv, inv),
-                    partial(np.divide, 1.0, inv, inv), *row_calls(np.subtract, a, mean, xhat),
+                    partial(np.divide, 1.0, inv, inv),
                     *row_calls(np.multiply, xhat, inv, xhat),
                     *row_calls(np.multiply, xhat, scale.param, a),
                     *row_calls(np.add, a, shift.param, a)]
@@ -460,19 +459,19 @@ def _step_plan(net, n, shards):
     warm step makes no view and looks up no workspace array.  It holds the
     layers of :func:`_layer_calls`, the three `fold` calls that fold their
     batch statistics into `net.running` (run <- M * run + (1 - M) * batch, M =
-    BN_MOMENTUM), and one flat backward list: the layers' backward lists, last
+    BN_MOMENTUM; batch is scaled in place, as the backward writes it before it
+    reads it), and one flat backward list: the layers' backward lists, last
     layer first, then the tree over the gradient rows.  The batch is gathered
     in `reduction.tree_order(n)`, whatever the split, and every batch sum is
     one `reduction.tree_levels`: within each GEMM block over the (c, B/c,
-    ...) reshape, and over the whole batch on the array itself.  Batch norm's
-    sums write their first level into arrays of their own, so that the
-    summands are only read.  The gradient rows are a (B/c, |W| rounded up to
-    8) array, so that each row starts on a cache line; the layers write its
-    [:, :|W|] view and its zero padding is summed with the rest.  Their tree
-    stops at one row per aligned node of s rows, s the largest power of two
-    dividing m = B/P, so that no node spans two shards: row p holds node
-    `tree_order(B/s)[p]`, and the returned `grads` is the (B/s, |W|) view of
-    those rows; at P = 1 the tree runs to the end and `grads` has one row.
+    ...) reshape, and over the whole batch on the array itself.  The gradient
+    rows are a (B/c, |W| rounded up to 8) array, so that each row starts on
+    a cache line; the layers write its [:, :|W|] view and its zero padding
+    is summed with the rest.  Their tree stops at one row per aligned node of
+    s rows, s the largest power of two dividing m = B/P, so that no node
+    spans two shards: row p holds node `tree_order(B/s)[p]`, and the
+    returned `grads` is the (B/s, |W|) view of those rows; at P = 1 the tree
+    runs to the end and `grads` has one row.
     The int arrays (the layout, the gathered labels and their flat indices)
     stay out of `net.workspace`, which holds a step's float arrays.
     """
@@ -497,15 +496,15 @@ def _step_plan(net, n, shards):
     x = buf("input", (n, net.input_dim))
     labels = np.empty(n, np.int64)
     run = net.running
-    batch, scaled = (buf(role, run.shape) for role in ("bnbatch", "bnscaled"))
+    batch = buf("bnbatch", run.shape)
     layers = _layer_calls(net, x, blocks, buf,
                           (c, part[:, :size], batch, block_levels, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
         perm=tree_order(n), input=x, labels=labels, layers=layers,
         fold=[partial(np.multiply, run, BN_MOMENTUM, run),
-              partial(np.multiply, 1.0 - BN_MOMENTUM, batch, scaled),
-              partial(np.add, run, scaled, run)],
+              partial(np.multiply, 1.0 - BN_MOMENTUM, batch, batch),
+              partial(np.add, run, batch, run)],
         backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
         grads=grads[:, :size],
     )

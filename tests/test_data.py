@@ -79,6 +79,15 @@ class TestIdx:
         with pytest.raises(FormatError, match=r"expected 136 bytes, got 131"):
             data.load_idx_images(img)
 
+    def test_header_dimensions_read_as_unsigned(self, tmp_path):
+        # read as signed, count -16, rows -1 and cols 1 claim exactly the 16
+        # pixel bytes; as the unsigned words they are, they claim far more
+        img = tmp_path / "images.idx"
+        img.write_bytes(struct.pack(">iiii", data.IDX_IMAGES_MAGIC, -16, -1, 1) + bytes(16))
+        expected = 16 + (2**32 - 16) * (2**32 - 1)
+        with pytest.raises(FormatError, match=rf"expected {expected} bytes, got 32"):
+            data.load_idx_images(img)
+
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(struct.pack(">iiii", 0x00000999, 1, 2, 2) + bytes(4))

@@ -446,6 +446,29 @@ class TestBatchNorm:
             np.testing.assert_allclose(net.running, np.concatenate(want[1] + want[4]),
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_variance_of_offset_inputs(self, offset):
+        # E[a*a] - E[a]**2 cancels to nothing once |mean| >> std (at an
+        # offset of 1e8, to exact zeros); the centered mean of (a - mean)**2
+        # keeps the variance of the dense output that the step computed.
+        # The backward writes over the batch statistics, so the forward
+        # lists are rerun by hand, reading that output before batch norm
+        # writes its own over it.
+        specs = [nn.dense(2, 16), nn.batchnorm(), nn.relu(), nn.dense(16, 3), nn.softmax_xent()]
+        net = nn.init_network(specs, 3)
+        x, y = random_batch(4, n=256)
+        nn.forward_backward_shards(net, x + offset, y, 1)
+        plan = net.plans[256, 1]
+        run_levels(plan.layers[0][0])
+        h = plan.layers[0][2].copy()
+        run_levels(plan.layers[1][0])
+        var = net.workspace["bnbatch", net.running.shape][net.bn_spans[1]].reshape(2, -1)[1]
+        assert np.count_nonzero(var) == 16
+        np.testing.assert_allclose(var, h.var(axis=0), rtol=1e-9, atol=0)
+        if offset == 0.0:
+            one_pass = (h * h).mean(axis=0) - h.mean(axis=0) ** 2
+            np.testing.assert_allclose(var, one_pass, rtol=1e-14, atol=0)
+
     def test_training_never_reads_running_stats(self):
         # training normalizes with batch statistics, so poisoned running
         # statistics must leave the loss and the gradient untouched
