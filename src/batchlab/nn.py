@@ -24,12 +24,13 @@ calls as `functools.partial`s over the layer's arrays.  A training step
 runs the calls of the step plan built once per (B, P) and kept on the
 Network: each layer's forward list, three calls that fold the batch
 statistics into the running ones, `net.running`, then the backward lists,
-last layer first.  Evaluation runs the forward walks of the evaluation
-plan, built once per row count and kept on the Network too; their batch
-norm reads `net.running`, which a step updates in place.  Every call with a
-row-vector operand goes through a tile of at least numpy's buffer length.
-A step checks its loss once, and the forward reruns with a check per layer
-only to name the layer at which a non-finite step overflowed.
+last layer first.  Evaluation runs the one forward walk of the evaluation
+plan over all its rows, built once per row count and kept on the Network
+too; its batch norm reads `net.running`, which a step updates in place.
+Every call with a row-vector operand goes through a tile of at least
+numpy's buffer length.  A step checks its loss once, and the forward reruns
+with a check per layer only to name the layer at which a non-finite step
+overflowed.
 """
 
 import hashlib
@@ -46,8 +47,9 @@ from .errors import (
     NumericOverflowError,
     PartitionError,
 )
-# A step runs prebuilt levels and calls neither tree_sum nor tree_reduce, but
-# nn keeps both names: bench/spans.py traces the engine's batch sums through them.
+# A step runs prebuilt levels and calls neither tree_sum nor tree_reduce, so their
+# spans never fire; nn keeps both names only so that bench/spans.py's TRACED
+# resolves (ROADMAP item 1 retires them).
 from .reduction import (  # noqa: F401
     run_levels,
     tree_levels,
@@ -180,8 +182,9 @@ class Network:
     over those arrays that a step makes.  Both start empty; the first step of
     each split fills them and later steps reuse them, so a step allocates no
     batch-sized array and builds no view.  `plans["eval"]` is the evaluation
-    plan of the latest row count evaluated (see :func:`_eval_plan`), which
-    holds arrays of its own and reads `running`, which a step updates in place.
+    plan of the latest row count evaluated (see :func:`_eval_plan`), one walk
+    over all its rows with arrays of its own, which reads `running` as a
+    step updates it in place.
     """
 
     def __init__(self, specs, params, running, bn_spans, layer_groups, input_dim, num_classes):
@@ -313,7 +316,8 @@ def _row_calls(alloc, ufunc, v, row, out):
 def _layer_calls(net, x, blocks, alloc, grad=None):
     """The calls of a walk over the batch `x`: per layer (forward calls, backward calls, output).
 
-    `blocks(v)` shapes a dense layer's input or output for its GEMM, and
+    `blocks(v)` gives the views of a dense layer's input or output, one per
+    GEMM (a step's one strided view, or an evaluation's blocks), and
     `alloc(role, shape)` supplies each float array the walk writes.  Each
     call is a `functools.partial` over those arrays that `reduction.run_levels`
     runs.  Only dense layers take new arrays for their outputs: batch norm
@@ -349,9 +353,10 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             w, b = groups
             out = alloc(("dense", i), (n, s.out_dim))
             a_blocks, out_blocks = blocks(a), blocks(out)
-            fwd = [partial(np.matmul, a_blocks, w.param, out=out_blocks),
+            fwd = [*(partial(np.matmul, u, w.param, out=o) for u, o in zip(a_blocks, out_blocks)),
                    *row_calls(np.add, out, b.param, out)]
             if grad is not None:
+                (a_blocks,), (out_blocks,) = a_blocks, out_blocks  # a step's one strided view
                 # a block's weight partial is a_blk.T @ d_blk, rank one at c == 1
                 wpart = part[:, w.span].reshape(-1, s.in_dim, s.out_dim)
                 bwd = [partial(np.einsum, "bi,bj->bij", a, out, out=wpart) if c == 1
@@ -481,7 +486,7 @@ def _step_plan(net, n, shards):
     nodes = 1 if shards == 1 else n // (m & -m)
 
     def blocks(v):
-        return v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1)
+        return (v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1),)
 
     def block_levels(v, into=None):
         # the tree within each block, written into `into` if given; its (B/c, ...) block sums
@@ -670,78 +675,70 @@ def _eval_alloc():
 
 
 def _eval_plan(net, n):
-    """The prebuilt walks of an evaluation of `n` rows: their inputs and calls.
+    """The prebuilt walk of an evaluation of `n` rows: its input and calls.
 
     Built at the first evaluation of that row count and kept as
-    `net.plans["eval"]`.  The full blocks of EVAL_ROWS rows are one walk,
-    each dense layer one stacked GEMM of a GEMM per block, and the n %
-    EVAL_ROWS rows left are a walk of their own, so that each row meets the
-    GEMM shape of a per-block walk (padding the last block to EVAL_ROWS rows
-    changes logit bits).  Batch norm reads its span of `net.running` when
-    the calls run, which a training step updates in place, so the plan
-    serves every evaluation of `n` rows.
+    `net.plans["eval"]`.  A dense layer is one stacked GEMM of a GEMM per
+    full block of EVAL_ROWS rows and one GEMM over the n % EVAL_ROWS rows
+    left, so that each row meets the GEMM shape of a per-block walk (padding
+    the last block to EVAL_ROWS rows changes logit bits); every other call,
+    element-wise, runs once over all n rows.  Batch norm reads its span of
+    `net.running` when the calls run, which a training step updates in
+    place, so the plan serves every evaluation of `n` rows.
     """
     full = n - n % EVAL_ROWS
-    walks = []
-    for rows, blocks in ((full, lambda v: v.reshape(-1, EVAL_ROWS, v.shape[1])),
-                         (n - full, lambda v: v)):
-        if rows:
-            x = aligned_empty((rows, net.input_dim))
-            walks.append((x, _layer_calls(net, x, blocks, _eval_alloc())))
-    return SimpleNamespace(rows=n, walks=walks)
+
+    def blocks(v):
+        return [u for u in (v[:full].reshape(-1, EVAL_ROWS, v.shape[1]), v[full:]) if len(u)]
+
+    x = aligned_empty((n, net.input_dim))
+    return SimpleNamespace(rows=n, input=x, layers=_layer_calls(net, x, blocks, _eval_alloc()))
 
 
 def _evaluate(net, inputs):
-    """The eval-mode logits of the rows of the float64 (n, input width) `inputs`,
-    as one array per walk of the evaluation plan, in row order.
+    """The eval-mode logits of the rows of the float64 (n, input width) `inputs`, n > 0.
 
-    The arrays are the plan's, valid until the next evaluation.  Only the
-    logits are checked; if any are not finite, the walks whose logits are
-    not rerun with a check per layer, and the NumericOverflowError names the
-    first layer at which any row's output is not finite.
+    The array is the plan's, valid until the next evaluation.  Only the
+    logits are checked; if any are not finite, the walk reruns with a check
+    per layer, and the NumericOverflowError names the first layer at which
+    any row's output is not finite.
     """
     plan = net.plans.get("eval")
     if plan is None or plan.rows != len(inputs):
         plan = net.plans["eval"] = _eval_plan(net, len(inputs))
-    start, outs, overflows = 0, [], []
+    np.copyto(plan.input, inputs)
     with np.errstate(all="ignore"):
-        for x, layers in plan.walks:
-            np.copyto(x, inputs[start:start + len(x)])
-            start += len(x)
-            outs.append(_forward(layers))
-            if not np.isfinite(outs[-1]).all():
-                try:
-                    _forward(layers, check_each=True)
-                except NumericOverflowError as exc:
-                    overflows.append(exc)
-    if overflows:
-        raise min(overflows, key=lambda exc: exc.layer_index)
-    return outs
+        logits = _forward(plan.layers)
+        if not np.isfinite(logits).all():
+            _forward(plan.layers, check_each=True)  # raises, naming the layer
+    return logits
 
 
 def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
-    statistics, over blocks of EVAL_ROWS rows (:func:`_eval_plan`).
+    statistics, each dense layer a GEMM per block of EVAL_ROWS rows (:func:`_eval_plan`).
 
     Returns a copy of the logits.  If they are not all finite, the
     NumericOverflowError names the first layer at which any row's output is not.
     """
     x = np.asarray(inputs, dtype=np.float64)
     _check_width(net, x)
-    return np.concatenate([np.empty((0, net.num_classes)), *_evaluate(net, x)])
+    if not len(x):
+        return np.empty((0, net.num_classes))  # no plan: a tile needs a row
+    return _evaluate(net, x).copy()
 
 
 def accuracy(net, inputs, labels):
-    """Fraction of argmax hits, evaluated in blocks of EVAL_ROWS rows; nan for no rows.
+    """Fraction of argmax hits, each dense layer a GEMM per block of EVAL_ROWS rows; nan for no rows.
 
     The batch is checked like a training batch (:func:`check_batch`).  Rows
     are independent in eval mode, so the blocks give the hits of one pass
     over all rows, while keeping each GEMM small enough to stay on one BLAS
     thread.  If any row overflows, the NumericOverflowError names the first
-    layer at which one does, whatever block it is in.
+    layer at which one does.
     """
     inputs, labels = check_batch(net, inputs, labels)
     if not len(inputs):
         return math.nan  # like the mean of no rows
-    predicted = np.concatenate([logits.argmax(axis=1) for logits in _evaluate(net, inputs)])
+    predicted = _evaluate(net, inputs).argmax(axis=1)
     return float(np.divide(np.count_nonzero(predicted == labels), len(inputs)))

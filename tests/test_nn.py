@@ -380,32 +380,33 @@ class TestBatchNorm:
         net.params["dense0.bias"].param.fill(0.0)
         return net
 
+    def _bn_output(self, net, n):
+        # the batch-norm output of the latest step of n rows, in tree order:
+        # the backward writes over it, so the forward lists are rerun by hand
+        plan = net.plans[n, 1]
+        run_levels(plan.layers[0][0])
+        run_levels(plan.layers[1][0])
+        return plan, plan.layers[1][2]
+
     def test_normalized_input_is_near_fixed_point(self):
         net = self._bn_net()
         rng = np.random.default_rng(2)
         x = rng.standard_normal((64, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        _, correct, _ = nn.forward_backward_shards(net, x, np.zeros(64, dtype=np.int64), 1)
-        # recompute the bn output directly through the eval-path arithmetic
-        mean = x.mean(axis=0)
-        var = (x * x).mean(axis=0) - mean * mean
-        out = (x - mean) / np.sqrt(var + nn.BN_EPS)
-        assert np.allclose(out, x, atol=1e-4)
+        nn.forward_backward_shards(net, x, np.zeros(64, dtype=np.int64), 1)
+        plan, out = self._bn_output(net, 64)
+        np.testing.assert_allclose(out, x[plan.perm], rtol=0, atol=1e-4)
 
     def test_constant_column_maps_to_shift(self):
         net = self._bn_net()
-        net.params["bn1.shift"].param[:] = [0.5, -1.0, 2.0]
+        shift = net.params["bn1.shift"].param
+        shift[:] = [0.5, -1.0, 2.0]
         x = np.full((16, 3), 3.25)
-        # capture the bn layer output by zeroing the downstream dense weight
-        # and reading activations via a direct recomputation instead
-        mean = np.full(3, 3.25)
-        var = np.zeros(3)
-        out = net.params["bn1.scale"].param * ((x - mean) / np.sqrt(var + nn.BN_EPS)) \
-            + net.params["bn1.shift"].param
-        assert np.allclose(out, net.params["bn1.shift"].param, atol=1e-12)
-        # and the engine itself must not blow up on zero variance
+        # the engine must not blow up on zero variance
         loss = nn.loss_and_grad(net, x, np.zeros(16, dtype=int))
         assert math.isfinite(loss)
+        _, out = self._bn_output(net, 16)
+        assert np.array_equal(out, np.broadcast_to(shift, out.shape))
 
     def test_batch_of_one_rejected_in_training(self, small_net):
         with pytest.raises(DegenerateBatchError):
@@ -496,16 +497,17 @@ class TestEval:
         logits = []
         for start in range(0, len(x), nn.EVAL_ROWS):
             rows = x[start:start + nn.EVAL_ROWS]
-            layers = nn._layer_calls(net, rows, lambda v: v, lambda role, shape: np.empty(shape))
+            layers = nn._layer_calls(net, rows, lambda v: (v,), lambda role, shape: np.empty(shape))
             logits.append(nn._forward(layers))
         return np.concatenate(logits)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 999, 1000])
     def test_prebuilt_walk_gives_the_bytes_of_per_block_walks(self, n):
-        # The full blocks run as one walk of stacked GEMMs and the rest as a
-        # walk of its own; every row's logits are those of its own block.  A
-        # training step folds into the running statistics in place, so the
-        # plan is kept across steps and reads the new ones.
+        # One walk over all n rows, each dense layer a stacked GEMM over the
+        # full blocks and a GEMM over the rest; every row's logits are those
+        # of its own block.  A training step folds into the running
+        # statistics in place, so the plan is kept across steps and reads
+        # the new ones.
         net = self._trained_net(MLP_SPECS, steps=5)
         x, y = random_batch(n, n=n)
         plans = []
@@ -580,15 +582,21 @@ class TestEval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             acc = nn.accuracy(small_net, np.empty((0, 2)), [])
+            logits = nn.predict_logits(small_net, np.empty((0, 2)))
         assert math.isnan(acc)
+        assert logits.dtype == np.float64 and logits.shape == (0, 3)
 
-    def test_overflow_names_the_first_layer_whatever_the_block(self):
+    @pytest.mark.parametrize("n, late", [
+        pytest.param(3 * nn.EVAL_ROWS, 2 * nn.EVAL_ROWS + 1, id="last-full-block"),
+        pytest.param(3 * nn.EVAL_ROWS + 5, 3 * nn.EVAL_ROWS + 2, id="rows-left-over"),
+    ])
+    def test_overflow_names_the_first_layer_whatever_the_block(self, n, late):
         net = self._trained_net()
         net.params["dense3.weight"].param[:] *= 1e10
-        x, y = random_batch(97, n=3 * nn.EVAL_ROWS)
+        x, y = random_batch(97, n=n)
         net.params["dense0.weight"].param[:, 0] = 2.0  # 1e308 * 2 overflows
         x[5] = 1e300  # finite through dense0 and batch norm, overflows at dense3
-        x[2 * nn.EVAL_ROWS + 1] = 1e308  # overflows at dense0, in a later block
+        x[late] = 1e308  # overflows at dense0, in a later block
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericOverflowError) as whole:
                 nn.predict_logits(net, x)
