@@ -330,20 +330,22 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
     the calls run and normalizes its input in place, the softmax-xent layer
     makes no call and its output stays the logits, and no layer has a backward
     call.  With `grad`, a training step's (c, gradient rows, batch statistics,
-    block levels, labels) (see :func:`_step_plan`; ``block_levels(v, into)``
-    builds the sums of `v`'s rows within each GEMM block, as
-    `reduction.tree_levels` does, and every sum over the whole batch is a
-    `reduction.tree_levels` of its own), batch norm writes its (mean,
-    variance) over the global batch into its span of the batch statistics, a
-    vector laid out like `net.running`, and the softmax-xent layer writes the
-    softmax over the logits and outputs (loss sum, lowest logit), as a -inf
-    logit can leave the loss finite.  Run last layer first, the backward calls
-    write the gradient of each layer's output over that output, and a dense
-    layer writes its input gradient over its input.
+    labels) (see :func:`_step_plan`), every batch sum is one
+    `reduction.tree_levels` over the whole batch, and the gradient rows copy
+    a sum's GEMM block sums from it after its first log2(c) levels.  Batch
+    norm writes its (mean, variance) over the global batch into its span of
+    the batch statistics, a vector laid out like `net.running`, and the
+    softmax-xent layer writes the softmax over the logits and outputs (loss
+    sum, lowest logit), as a -inf logit can leave the loss finite.  Run last
+    layer first, the backward calls write the gradient of each layer's output
+    over that output, and a dense layer writes its input gradient over its input.
     """
     n = len(x)
     if grad is not None:
-        c, part, batch_stats, block_levels, labels = grad
+        # k = log2(c): level j < k of a batch tree has an even B / 2**j rows,
+        # so each is one add, and the first k leave the block sums in rows [0, B/c)
+        c, part, batch_stats, labels = grad
+        k, q = c.bit_length() - 1, n // c
     layers = []
     row_calls = partial(_row_calls, alloc)
     a = x
@@ -363,9 +365,8 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                        else partial(np.matmul, a_blocks.swapaxes(1, 2), out_blocks, out=wpart)]
                 if i > 0:  # nothing uses the gradient of the network's input
                     bwd.append(partial(np.matmul, out_blocks, w.param.T, out=a_blocks))
-                # the bias block sums, over d once the input gradient has read it
-                bias_levels, bias_sums = block_levels(out)
-                bwd += [*bias_levels, partial(np.copyto, part[:, b.span], bias_sums)]
+                # the bias block sums: k levels over d, once the input gradient read it
+                bwd += [*tree_levels(out)[0][:k], partial(np.copyto, part[:, b.span], out[:q])]
             a = out
         elif s.kind == RELU:
             mask = alloc(("relu", i), a.shape)
@@ -394,19 +395,19 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
                        *row_calls(np.subtract, a, mean, xhat),
                        partial(np.multiply, xhat, xhat, sums),
                        *var_levels, partial(np.divide, var_sum, n, var)]
-                # the block sums of d * xhat (in place) and of d (read again,
-                # so its first level goes into `sums`), copied into the scale
-                # and shift spans, whose trees give the coupling terms; then,
-                # in place, d <- scale * inv * (d - mean_t1 - xhat * mean_t2);
-                # xhat and inv are spent after this
+                # the trees of d * xhat (in place) and of d (read again, so its
+                # first level goes into `sums`) give the coupling terms; after k
+                # levels, their block sums (d itself at k == 0) go into the scale
+                # and shift spans.  Then, in place, d <- scale * inv * (d -
+                # mean_t1 - xhat * mean_t2); xhat and inv are spent after this
                 bwd = [partial(np.multiply, a, xhat, sums)]
                 mean_t2, mean_t1 = var, mean
                 for summand, into, group, term in ((sums, None, scale, mean_t2),
                                                    (a, sums, shift, mean_t1)):
-                    steps, block_sums = block_levels(summand, into)
-                    coupling, total = tree_levels(block_sums)
-                    bwd += [*steps, partial(np.copyto, part[:, group.span], block_sums),
-                            *coupling, partial(np.divide, total, n, term)]
+                    steps, total = tree_levels(summand, into)
+                    block_sums = sums[:q] if k else summand
+                    bwd += [*steps[:k], partial(np.copyto, part[:, group.span], block_sums),
+                            *steps[k:], partial(np.divide, total, n, term)]
                 bwd += [*row_calls(np.subtract, a, mean_t1, a),
                         *row_calls(np.multiply, xhat, mean_t2, xhat),
                         partial(np.subtract, a, xhat, a),
@@ -468,8 +469,8 @@ def _step_plan(net, n, shards):
     reads it), and one flat backward list: the layers' backward lists, last
     layer first, then the tree over the gradient rows.  The batch is gathered
     in `reduction.tree_order(n)`, whatever the split, and every batch sum is
-    one `reduction.tree_levels`: within each GEMM block over the (c, B/c,
-    ...) reshape, and over the whole batch on the array itself.  The gradient
+    one `reduction.tree_levels` over the whole batch, whose first log2(c)
+    levels leave the GEMM blocks' sums in its first B/c rows.  The gradient
     rows are a (B/c, |W| rounded up to 8) array, so that each row starts on
     a cache line; the layers write its [:, :|W|] view and its zero padding
     is summed with the rest.  Their tree stops at one row per aligned node of
@@ -488,11 +489,6 @@ def _step_plan(net, n, shards):
     def blocks(v):
         return (v.reshape(c, q, *v.shape[1:]).swapaxes(0, 1),)
 
-    def block_levels(v, into=None):
-        # the tree within each block, written into `into` if given; its (B/c, ...) block sums
-        stack = lambda u: u if u is None else u.reshape(c, q, *u.shape[1:])
-        return tree_levels(stack(v), stack(into))
-
     buf = net.buffer
     size = net.params.param.size
     per_line = CACHE_LINE // 8  # float64s
@@ -502,8 +498,7 @@ def _step_plan(net, n, shards):
     labels = np.empty(n, np.int64)
     run = net.running
     batch = buf("bnbatch", run.shape)
-    layers = _layer_calls(net, x, blocks, buf,
-                          (c, part[:, :size], batch, block_levels, labels))
+    layers = _layer_calls(net, x, blocks, buf, (c, part[:, :size], batch, labels))
     grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
         perm=tree_order(n), input=x, labels=labels, layers=layers,
@@ -589,25 +584,33 @@ def forward_backward_shards(net, x, y, shards):
 # batch check and single-network API (mean-loss convention)
 # ---------------------------------------------------------------------------
 
-def _check_width(net, inputs):
+def _check_inputs(net, inputs):
+    """`inputs` as a float64 array, checked to be numbers, 2-D with `net.input_dim`
+    columns and finite; a ConfigError otherwise.  numpy reads `None` as NaN."""
+    try:
+        inputs = np.asarray(inputs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, say, or strings that are not numbers
+        raise ConfigError(f"batch is not numeric: {exc}") from None
     if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
-        raise ConfigError(
-            f"batch shape {inputs.shape} incompatible with input width {net.input_dim}"
-        )
+        raise ConfigError(f"batch shape {inputs.shape} incompatible with "
+                          f"input width {net.input_dim}")
+    bad = inputs.size - np.count_nonzero(np.isfinite(inputs))
+    if bad:  # it would be read as a diverged step, not as a bad batch
+        raise ConfigError(f"inputs must be finite; {bad} are not")
+    return inputs
 
 
 def check_batch(net, inputs, labels):
     """Reject a batch that does not fit `net`; return it as float64 / int64 arrays.
 
-    The inputs must be 2-D with `net.input_dim` columns and finite, there
-    must be one label per example, and every label must be a whole number
-    naming one of the network's `num_classes` outputs.  A batch numpy cannot
-    read as numbers is a ConfigError too; numpy reads `None` as NaN.
+    The inputs must pass :func:`_check_inputs`, and there must be one label per
+    example, each a whole number naming one of the network's `num_classes`
+    outputs; labels numpy cannot read as numbers are a ConfigError too.
     """
+    inputs = _check_inputs(net, inputs)
     try:
-        inputs = np.asarray(inputs, dtype=np.float64)
         given = np.asarray(labels)
-    except (TypeError, ValueError) as exc:  # ragged rows, say, or strings that are not numbers
+    except (TypeError, ValueError) as exc:  # ragged label lists, say
         raise ConfigError(f"batch is not numeric: {exc}") from None
     if given.dtype.kind not in "biuf":
         raise ConfigError(f"labels must be whole numbers, not {given.dtype} values")
@@ -616,10 +619,6 @@ def check_batch(net, inputs, labels):
         bad = given[labels != given]
     if bad.size:
         raise ConfigError(f"labels must be whole numbers; {bad.size} are not: {bad[:5].tolist()}")
-    _check_width(net, inputs)
-    bad = inputs.size - np.count_nonzero(np.isfinite(inputs))
-    if bad:  # it would be read as a diverged step, not as a bad batch
-        raise ConfigError(f"inputs must be finite; {bad} are not")
     if labels.shape != (len(inputs),):
         raise ConfigError(f"labels of shape {labels.shape} for {len(inputs)} examples")
     lo, hi = labels.min(initial=0), labels.max(initial=0)
@@ -718,11 +717,11 @@ def predict_logits(net, inputs):
     """Eval-mode forward: the training layer walk, with batch norm on the running
     statistics, each dense layer a GEMM per block of EVAL_ROWS rows (:func:`_eval_plan`).
 
+    The inputs are checked like :func:`accuracy`'s (:func:`_check_inputs`).
     Returns a copy of the logits.  If they are not all finite, the
     NumericOverflowError names the first layer at which any row's output is not.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    _check_width(net, x)
+    x = _check_inputs(net, inputs)
     if not len(x):
         return np.empty((0, net.num_classes))  # no plan: a tile needs a row
     return _evaluate(net, x).copy()

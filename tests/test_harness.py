@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import re
 import struct
@@ -453,3 +454,15 @@ class TestCli:
         assert proc.returncode == runner.EXIT_DIVERGED
         meta, rows = runner.read_csv(tmp_path / "boom" / "log.csv")
         assert meta["run.status"].startswith("diverged@")
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # A newer interpreter accepts newer syntax, so the grammar is checked at
+    # pyproject's requires-python floor; the standard library's API is not.
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    sources = sorted(path for d in ("src", "tests", "bench") for path in (root / d).rglob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

@@ -183,20 +183,23 @@ class TestForwardLoss:
             with pytest.raises(ConfigError, match=f"labels must be whole numbers; {named}"):
                 nn.accuracy(small_net, x, labels)
 
-    @pytest.mark.parametrize("inputs, labels", [
-        ([[0.0, 1.0], [1.0, 0.0]], ["0.5", "1"]),
-        ([[0.0, 1.0], [1.0, 0.0]], [0, None]),
-        ([["a", "b"]], [0]),
-        ([[0.0, 1.0], [1.0]], [0, 1]),
-        ([[0.0, 1.0], [1.0, 0.0]], [[0], [1, 2]]),
+    @pytest.mark.parametrize("inputs, labels, bad_inputs", [
+        ([[0.0, 1.0], [1.0, 0.0]], ["0.5", "1"], False),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, None], False),
+        ([["a", "b"]], [0], True),
+        ([[0.0, 1.0], [1.0]], [0, 1], True),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0], [1, 2]], False),
     ], ids=["string-labels", "none-label", "string-inputs", "ragged-rows", "ragged-labels"])
-    def test_batch_that_is_not_numeric_rejected(self, small_net, inputs, labels):
+    def test_batch_that_is_not_numeric_rejected(self, small_net, inputs, labels, bad_inputs):
         # numpy's own ValueError or TypeError would escape the package's errors
         named = "batch is not numeric|labels must be whole numbers"
         with pytest.raises(ConfigError, match=named):
             nn.loss_and_grad(small_net, inputs, labels)
         with pytest.raises(ConfigError, match=named):
             nn.accuracy(small_net, inputs, labels)
+        if bad_inputs:
+            with pytest.raises(ConfigError, match="batch is not numeric"):
+                nn.predict_logits(small_net, inputs)
 
     @pytest.mark.parametrize("value", [None, np.nan, -np.inf])
     def test_inputs_that_are_not_finite_rejected(self, small_net, value):
@@ -206,6 +209,8 @@ class TestForwardLoss:
             nn.loss_and_grad(small_net, inputs, [0, 1])
         with pytest.raises(ConfigError, match="^inputs must be finite; 1 are not$"):
             nn.accuracy(small_net, inputs, [0, 1])
+        with pytest.raises(ConfigError, match="^inputs must be finite; 1 are not$"):
+            nn.predict_logits(small_net, inputs)
 
     def test_whole_float_labels_accepted(self, small_net):
         x, _ = random_batch(3, n=2)
@@ -412,9 +417,12 @@ class TestBatchNorm:
         with pytest.raises(DegenerateBatchError):
             nn.loss_and_grad(small_net, np.zeros((1, 2)), np.zeros(1, dtype=int))
 
-    def test_scale_and_shift_finite_difference(self):
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_scale_and_shift_finite_difference(self, n):
+        # a step's GEMM blocks are of 1, 2 and 16 rows, so the gradient rows
+        # copy each batch sum's block sums at three depths of its tree
         net = nn.init_network(SMALL_SPECS, 13)
-        x, y = random_batch(13)
+        x, y = random_batch(13, n=n)
         errs = gradient_errors(net, x, y)
         assert errs["bn1.scale"] < 1e-5
         assert errs["bn1.shift"] < 1e-5
