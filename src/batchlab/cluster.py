@@ -1,16 +1,16 @@
 """Deterministic in-process simulation of P-worker synchronous SGD.
 
-Every worker record reads one parameter store, and each step takes the
-global batch as an argument: worker j owns rows [j*B/P, (j+1)*B/P) of it.
-In synchronous SGD all workers apply the same reduced gradient with the same
-rule, so their replicas are identical by construction and one store stands
-for all of them; the simulator updates it once per step.  Local gradients
-are the per-example tree sums over aligned nodes of each worker's rows,
-the 1-worker tree stopped where it would cross a worker boundary; the
-all-reduce finishes the same pairwise tree over the node sums, and the
-summed gradient is divided by the global batch size once.  The splits
-whose P-worker trajectory is bitwise-identical to the 1-worker one are
-those :func:`nn.bitwise_invariant` names.
+A P-worker cluster is the list of its workers, each of them the one network,
+and each step takes the global batch as an argument: worker j owns rows
+[j*B/P, (j+1)*B/P) of it.  In synchronous SGD all workers apply the same
+reduced gradient with the same rule, so their replicas are identical by
+construction and one network stands for all of them; the simulator updates
+it once per step.  Local gradients are the per-example tree sums over
+aligned nodes of each worker's rows, the 1-worker tree stopped where it
+would cross a worker boundary; the all-reduce finishes the same pairwise
+tree over the node sums, and the summed gradient is divided by the global
+batch size once.  The splits whose P-worker trajectory is bitwise-identical
+to the 1-worker one are those :func:`nn.bitwise_invariant` names.
 """
 
 import functools
@@ -22,12 +22,6 @@ import numpy as np
 from . import costmodel, nn, optim
 from .errors import ConfigError, ConsistencyError, DivergenceError, NumericOverflowError
 from .reduction import tree_order, tree_reduce
-
-
-@dataclass
-class WorkerState:
-    worker_id: int
-    net: nn.Network
 
 
 @dataclass
@@ -59,16 +53,15 @@ class TrainingLog:
 
 
 def make_workers(net, count):
-    """`count` workers that all read the one parameter store `net`."""
-    return [WorkerState(j, net) for j in range(count)]
+    """`count` workers, each of them the one network `net`."""
+    return [net] * count
 
 
 def check_synchronized(workers):
-    """Raise ConsistencyError unless every worker reads worker 0's store."""
-    net = workers[0].net
-    bad = [w.worker_id for w in workers if w.net is not net]
+    """Raise ConsistencyError unless every worker is worker 0's network."""
+    bad = [j for j, net in enumerate(workers) if net is not workers[0]]
     if bad:
-        raise ConsistencyError(f"workers {bad} do not share worker 0's parameter store")
+        raise ConsistencyError(f"workers {bad} are not worker 0's network")
 
 
 @functools.lru_cache
@@ -99,7 +92,7 @@ def global_step(workers, x, y, hp, st):
     scheduled learning rate the update applied.
     """
     check_synchronized(workers)
-    net = workers[0].net
+    net = workers[0]
     loss_sum, correct, grads = nn.forward_backward_shards(net, x, y, len(workers))
     b = len(x)
     params = net.params

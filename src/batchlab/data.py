@@ -33,7 +33,7 @@ class Dataset:
 def _split(x, y, num_classes, seed):
     rng = np.random.Generator(np.random.PCG64([seed, 0x5B11]))
     order = rng.permutation(len(x))
-    x, y = x[order], y[order]
+    x, y = x.take(order, axis=0), y.take(order)
     cut = (len(x) * 9) // 10
     return Dataset(x[:cut], y[:cut], x[cut:], y[cut:], num_classes, x.shape[1])
 
@@ -77,14 +77,16 @@ def _gen_blobs(n, num_classes, input_dim, seed, noise):
 
 def _gen_spirals(n, num_classes, seed, noise):
     rng = np.random.Generator(np.random.PCG64([seed, 0x5914]))
-    xs, ys = [], []
-    for c, count in enumerate(_class_counts(n, num_classes)):
-        t = (np.arange(count) + 0.5) / count
-        radius = t
+    counts = _class_counts(n, num_classes)
+    x = np.empty((n, 2))
+    for c, rows in enumerate(np.split(x, np.cumsum(counts[:-1]))):  # views of x
+        count = len(rows)
+        t = (np.arange(count) + 0.5) / count  # the radius, too
         theta = 2.0 * np.pi * c / num_classes + t * 4.5 + noise * rng.standard_normal(count)
-        xs.append(np.stack([radius * np.sin(theta), radius * np.cos(theta)], axis=1))
-        ys.append(np.full(count, c, dtype=np.int64))
-    return _split(np.concatenate(xs), np.concatenate(ys), num_classes, seed)
+        np.multiply(t, np.sin(theta), out=rows[:, 0])
+        np.multiply(t, np.cos(theta), out=rows[:, 1])
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
+    return _split(x, y, num_classes, seed)
 
 
 # ---------------------------------------------------------------------------

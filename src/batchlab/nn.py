@@ -431,13 +431,15 @@ def _layer_calls(net, x, blocks, alloc, grad=None):
             row_max = [partial(np.copyto, row, a[:, :1]),
                        *(partial(np.maximum, row, a[:, j:j + 1], out=row)
                          for j in range(1, a.shape[1]))]
+            # picked is in range, as the labels are; as -(a + b) is (-a) + (-b),
+            # negating the tree's total gives the sum of the negated log-probabilities
             fwd = [partial(np.minimum.reduce, a, None, None, out[1, ...]),
                    partial(np.add, row_starts, labels, picked),
                    *row_max, partial(np.subtract, a, row, a), partial(np.exp, a, a),
                    partial(np.add.reduce, a, 1, None, row, True), partial(np.divide, a, row, a),
-                   partial(probs.take, picked, None, losses),
-                   partial(np.log, losses, losses), partial(np.negative, losses, losses),
-                   *loss_levels, partial(np.copyto, out[:1], loss_sum)]
+                   partial(probs.take, picked, None, losses, "clip"),
+                   partial(np.log, losses, losses),
+                   *loss_levels, partial(np.negative, loss_sum, out[:1])]
             # sum convention: the gradient of the logits is the softmax minus one-hot
             bwd = [partial(np.subtract.at, probs, picked, 1.0)]
             a = out

@@ -5,10 +5,12 @@ under plain pytest they appear in captured output when a criterion fails.
 """
 
 import multiprocessing
+import os
 import statistics
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ def run_trajectory(workers_count, train_x, train_y, batch, iters, seed=17):
                 break
             idx = perm[k * batch:(k + 1) * batch]
             cluster.global_step(workers, train_x[idx], train_y[idx], hp, st)
-            sums.append(workers[0].net.checksum())
+            sums.append(workers[0].checksum())
         epoch += 1
     return sums
 
@@ -151,18 +153,21 @@ def _spiral_accuracy(spirals, batch, base_lr, warmup_epochs, lars, seed):
 
 def _prefetch_spirals(spirals, runs):
     """Memoise the (batch, base_lr, warmup_epochs, lars, seed) runs of `runs`
-    not yet done, two at a time in spawned processes.
+    not yet done, two at a time in spawned processes of one BLAS thread each.
 
-    The runs are independent and deterministic, so where one runs does not
-    change its result.  Only runs of B <= 512 are worth a process: at B=4096
-    the two processes' OpenBLAS threads outnumber two cores, and a run took
-    2 to 8 times as long on the pool as alone.
+    The runs are independent and deterministic, and their bits do not depend
+    on the BLAS thread count, so where one runs does not change its result.
+    Spawned workers read OPENBLAS_NUM_THREADS when they load numpy, so it is
+    set only while the pool exists and this process keeps its thread count.
+    On a 2-CPU host four B=4096 runs took 6.75 s in-process at 2 BLAS threads,
+    2.8 s on two 1-thread workers and 9.7-10.0 s on two 2-thread workers.
     """
     missing = [r for r in runs if (id(spirals), *r) not in _SPIRAL_RUNS]
     if not missing:
         return
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(2, mp_context=context) as pool:
+    with (mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+          ProcessPoolExecutor(2, mp_context=context) as pool):
         futures = {r: pool.submit(_train_spirals, spirals, *r) for r in missing}
         for r, future in futures.items():
             _SPIRAL_RUNS[(id(spirals), *r)] = future.result()
@@ -254,7 +259,8 @@ def test_c10_lars_holds_accuracy_where_linear_scaling_collapses(spirals):
     is at least 0.2 below the LARS median.  A diverged plain run counts with
     the last test accuracy it recorded.
     """
-    _prefetch_spirals(spirals, [(32, 0.05, 0, False, seed) for seed in range(5)])
+    _prefetch_spirals(spirals, [(32, 0.05, 0, False, seed) for seed in range(5)]
+                      + [(4096, 6.4, 5, lars, seed) for seed in range(5) for lars in (True, False)])
     base = [_spiral_accuracy(spirals, 32, 0.05, 0, False, seed)[0] for seed in range(5)]
     lars, plain = [], []
     for seed in range(5):

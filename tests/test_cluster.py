@@ -116,8 +116,8 @@ class TestLocalGradients:
     def test_desynchronized_replica_detected(self):
         x, y = random_batch(3, n=8)
         workers = ready_workers(SMALL_SPECS, 5, 2)
-        workers[1].net = nn.init_network(SMALL_SPECS, 5)
-        workers[1].net.params["dense0.weight"].param[0, 0] += 1.0
+        workers[1] = nn.init_network(SMALL_SPECS, 5)
+        workers[1].params["dense0.weight"].param[0, 0] += 1.0
         hp = optim.HyperParams(base_lr=0.1, epochs=1, batch_size=8)
         st_ = optim.ScheduleState(max_iterations=1, iterations_per_epoch=1)
         with pytest.raises(ConsistencyError):
@@ -160,7 +160,7 @@ class TestGlobalStep:
         st2 = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
         nn.loss_and_grad(ref, x, y)
         optim.sgd_step(ref.params, hp, st2)
-        for a, b in zip(workers[0].net.params, ref.params):
+        for a, b in zip(workers[0].params, ref.params):
             assert np.array_equal(a.param, b.param)
 
     @pytest.mark.parametrize("P", [2, 4, 8])
@@ -172,7 +172,7 @@ class TestGlobalStep:
             st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
             workers = ready_workers(SMALL_SPECS, 4, workers_count)
             cluster.global_step(workers, x, y, hp, st_)
-            nets[workers_count] = workers[0].net
+            nets[workers_count] = workers[0]
         assert nets[1].checksum() == nets[P].checksum()
 
     @pytest.mark.parametrize("P", [1, 4, 16])
@@ -181,7 +181,7 @@ class TestGlobalStep:
         # must not warn, fold a running statistic, update or count a step
         x, y = random_batch(7, n=16)
         workers = ready_workers(SMALL_SPECS, 3, P)
-        net = workers[0].net
+        net = workers[0]
         net.params["dense3.weight"].param[:] = np.inf
         before = net.checksum()
         st_ = optim.ScheduleState(max_iterations=10, iterations_per_epoch=5)
@@ -213,7 +213,7 @@ def lars_checksums(B, P, x, y, steps=6, seed=3):
     sums = []
     for k in range(steps):
         cluster.global_step(workers, x[k * B:(k + 1) * B], y[k * B:(k + 1) * B], hp, st_)
-        sums.append(workers[0].net.checksum())
+        sums.append(workers[0].checksum())
     return sums
 
 
@@ -231,7 +231,7 @@ workers = cluster.make_workers(nn.init_network(specs, 5), P)
 for k in range(40):
     rows = slice(k * B % 8192, k * B % 8192 + B)
     cluster.global_step(workers, ds.train_x[rows], ds.train_y[rows], hp, st)
-print(workers[0].net.checksum())
+print(workers[0].checksum())
 """
 
 

@@ -53,6 +53,62 @@ class TestSynthetic:
             assert np.all(pts == pts[0])
 
 
+def reference_split(xs, ys, seed):
+    """The 90/10 split of the concatenated class arrays, gathered by fancy indexing."""
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    order = np.random.Generator(np.random.PCG64([seed, 0x5B11])).permutation(len(x))
+    x, y = x[order], y[order]
+    cut = (len(x) * 9) // 10
+    return x[:cut], y[:cut], x[cut:], y[cut:]
+
+
+def reference_spirals(n, num_classes, seed, noise=0.2):
+    rng = np.random.Generator(np.random.PCG64([seed, 0x5914]))
+    xs, ys = [], []
+    for c in range(num_classes):
+        count = n // num_classes + (c < n % num_classes)
+        t = (np.arange(count) + 0.5) / count
+        theta = 2.0 * np.pi * c / num_classes + t * 4.5 + noise * rng.standard_normal(count)
+        xs.append(np.stack([t * np.sin(theta), t * np.cos(theta)], axis=1))
+        ys.append(np.full(count, c, dtype=np.int64))
+    return reference_split(xs, ys, seed)
+
+
+def reference_blobs(n, num_classes, input_dim, seed, noise=0.5):
+    rng = np.random.Generator(np.random.PCG64([seed, 0xB10B]))
+    centers = np.zeros((num_classes, input_dim))
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    centers[:, 0] = 4.0 * np.cos(angles)
+    if input_dim > 1:
+        centers[:, 1] = 4.0 * np.sin(angles)
+    xs, ys = [], []
+    for c in range(num_classes):
+        count = n // num_classes + (c < n % num_classes)
+        xs.append(centers[c] + noise * rng.standard_normal((count, input_dim)))
+        ys.append(np.full(count, c, dtype=np.int64))
+    return reference_split(xs, ys, seed)
+
+
+class TestGeneratorsMatchPerClassReference:
+    # the reference runs the same ufuncs on this machine, so the bytes must
+    # agree wherever np.sin and np.cos round; a golden hash would not
+    @staticmethod
+    def assert_same_bytes(ds, ref):
+        for got, want in zip((ds.train_x, ds.train_y, ds.test_x, ds.test_y), ref):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, num_classes, seed", [(10000, 3, 1), (1001, 4, 7)])
+    def test_spirals(self, n, num_classes, seed):
+        ds = data.gen_synthetic("synthetic-spirals", n, num_classes, 2, seed=seed)
+        self.assert_same_bytes(ds, reference_spirals(n, num_classes, seed))
+
+    @pytest.mark.parametrize("n, num_classes, input_dim, seed", [(5000, 5, 3, 2), (640, 2, 1, 1)])
+    def test_blobs(self, n, num_classes, input_dim, seed):
+        ds = data.gen_synthetic("synthetic-blobs", n, num_classes, input_dim, seed=seed)
+        self.assert_same_bytes(ds, reference_blobs(n, num_classes, input_dim, seed))
+
+
 def write_idx_pair(tmp_path, count=10, rows=4, cols=3, max_label=2):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=count * rows * cols, dtype=np.uint8)
