@@ -7,13 +7,13 @@ reduced gradient with the same rule, so their replicas are identical by
 construction and one network stands for all of them; the simulator updates
 it once per step.  Local gradients are the per-example tree sums over
 aligned nodes of each worker's rows, the 1-worker tree stopped where it
-would cross a worker boundary; the all-reduce finishes the same pairwise
-tree over the node sums, and the summed gradient is divided by the global
-batch size once.  The splits whose P-worker trajectory is bitwise-identical
-to the 1-worker one are those :func:`nn.bitwise_invariant` names.
+would cross a worker boundary, and the step hands them back in batch
+order; the all-reduce finishes the same pairwise tree over those node
+sums, and the summed gradient is divided by the global batch size once.
+The splits whose P-worker trajectory is bitwise-identical to the 1-worker
+one are those :func:`nn.bitwise_invariant` names.
 """
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import costmodel, nn, optim
 from .errors import ConfigError, ConsistencyError, DivergenceError, NumericOverflowError
-from .reduction import tree_order, tree_reduce
+from .reduction import tree_reduce
 
 
 @dataclass
@@ -64,22 +64,14 @@ def check_synchronized(workers):
         raise ConsistencyError(f"workers {bad} are not worker 0's network")
 
 
-@functools.lru_cache
-def _batch_order(rows):
-    # the row of each node, nodes in batch order; row p holds node
-    # tree_order(rows)[p]
-    return np.argsort(tree_order(rows)).tolist()
-
-
 def all_reduce(grads):
-    """Sum the node gradient rows of `nn.forward_backward_shards`, in tree order,
-    with the fixed pairwise-left tree over the nodes in batch order.
+    """Sum the node gradients of `nn.forward_backward_shards`, in batch order,
+    with the fixed pairwise-left tree.
 
     Each combine adds its right row into its left one, so `grads` is
-    consumed and the sum is returned in its first row, which holds node 0.
+    consumed and the sum is returned in its first row, node 0.
     """
-    return tree_reduce([grads[p] for p in _batch_order(len(grads))],
-                       lambda a, b: np.add(a, b, out=a))
+    return tree_reduce(list(grads), lambda a, b: np.add(a, b, out=a))
 
 
 def global_step(workers, x, y, hp, st):

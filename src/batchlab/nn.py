@@ -469,19 +469,26 @@ def _step_plan(net, n, shards):
     batch statistics into `net.running` (run <- M * run + (1 - M) * batch, M =
     BN_MOMENTUM; batch is scaled in place, as the backward writes it before it
     reads it), and one flat backward list: the layers' backward lists, last
-    layer first, then the tree over the gradient rows.  The batch is gathered
-    in `reduction.tree_order(n)`, whatever the split, and every batch sum is
-    one `reduction.tree_levels` over the whole batch, whose first log2(c)
-    levels leave the GEMM blocks' sums in its first B/c rows.  The gradient
-    rows are a (B/c, |W| rounded up to 8) array, so that each row starts on
-    a cache line; the layers write its [:, :|W|] view and its zero padding
-    is summed with the rest.  Their tree stops at one row per aligned node of
-    s rows, s the largest power of two dividing m = B/P, so that no node
-    spans two shards: row p holds node `tree_order(B/s)[p]`, and the
-    returned `grads` is the (B/s, |W|) view of those rows; at P = 1 the tree
-    runs to the end and `grads` has one row.
-    The int arrays (the layout, the gathered labels and their flat indices)
-    stay out of `net.workspace`, which holds a step's float arrays.
+    layer first, then the tree over the gradient rows.
+
+    The batch is gathered in `reduction.tree_order(n)`, whatever the split,
+    and every batch sum is one `reduction.tree_levels` over the whole batch,
+    whose levels add contiguous rows.  The GEMM block c = gcd(leaf_block(B),
+    m), m = B/P, is a power of two dividing m, so the layout is c contiguous
+    slabs of B/c rows, slab r holding row rev_c(r) of every block of c
+    consecutive batch rows (`tree_order(c)` is rev_c).  A block is a strided
+    view of the slabs, so every dense product is one BLAS GEMM per block,
+    and the first log2(c) levels of a batch sum leave the blocks' sums in
+    its first B/c rows.  The gradient rows are a (B/c, |W| rounded up to 8)
+    array, so that each row starts on a cache line; the layers write its
+    [:, :|W|] view and its zero padding is summed with the rest.  Their tree
+    stops at one row per aligned node of s rows, s the largest power of two
+    dividing m = B/P, so that no node spans two shards: row p holds node
+    `tree_order(B/s)[p]`, and `grads` holds the [:|W|] views of those rows
+    in batch order; at P = 1 the tree runs to the end and `grads` holds one
+    row.  The int arrays (the layout, the gathered labels, their `unsigned`
+    view and their flat indices) stay out of `net.workspace`, which holds a
+    step's float arrays.
     """
     m = n // shards
     c = math.gcd(leaf_block(n), m)
@@ -501,14 +508,15 @@ def _step_plan(net, n, shards):
     run = net.running
     batch = buf("bnbatch", run.shape)
     layers = _layer_calls(net, x, blocks, buf, (c, part[:, :size], batch, labels))
-    grad_levels, grads = tree_levels(part.reshape(-1, nodes, part.shape[1]))
+    grad_levels, _ = tree_levels(part.reshape(-1, nodes, part.shape[1]))
     return SimpleNamespace(
-        perm=tree_order(n), input=x, labels=labels, layers=layers,
+        perm=tree_order(n), input=x, labels=labels, unsigned=labels.view(np.uint64),
+        layers=layers,
         fold=[partial(np.multiply, run, BN_MOMENTUM, run),
               partial(np.multiply, 1.0 - BN_MOMENTUM, batch, batch),
               partial(np.add, run, batch, run)],
         backward=[call for _, bwd, _ in reversed(layers) for call in bwd] + grad_levels,
-        grads=grads[:, :size],
+        grads=tuple(part[p, :size] for p in np.argsort(tree_order(nodes))),
     )
 
 
@@ -523,24 +531,15 @@ def forward_backward_shards(net, x, y, shards):
     first step of that shape; every batch-sized array it writes is in
     `net.workspace`.
 
-    The batch is first gathered into `reduction.tree_order(B)`, whatever
-    the split, and every batch sum runs the levels of the canonical pairwise
-    tree over the whole batch, whose levels add contiguous rows.  The GEMM
-    block c = gcd(leaf_block(B), m), m = B/P, is a power of two dividing m,
-    so the layout is c contiguous slabs of B/c rows, slab r holding row
-    rev_c(r) of every block of c consecutive batch rows (`tree_order(c)` is
-    rev_c).  A block is a strided view of the slabs, so every dense product
-    is still one BLAS GEMM per block, and the first log2(c) levels of the
-    tree are the tree within each block.  The backward writes each block's
-    gradient into one (B/c, |W|) array laid out like `net.params.grad` (a
-    dense layer's x_blk.T @ d_blk and bias block sums, batch norm's block
-    sums of [d * xhat, d]), its rows padded to start on cache lines, and the
-    tree over it stops at the aligned nodes of s rows, s the largest power
-    of two dividing m, which no shard boundary cuts.  Batch-norm statistics
-    and their backward coupling terms are reduced over the global batch
-    (sync-BN).  Where leaf_block(B) divides m, the blocks are those of the
-    whole batch, and the node sums finish with the rest of its tree, so
-    results are independent of the split.
+    Every batch sum is the canonical pairwise tree over the whole batch.
+    The dense products run one BLAS GEMM per block of c = gcd(leaf_block(B),
+    B/P) consecutive rows, and the gradient's tree stops at the aligned nodes
+    of s rows, s the largest power of two dividing B/P, which no shard
+    boundary cuts.  Batch-norm statistics and their backward coupling terms
+    are reduced over the global batch (sync-BN).  Where leaf_block(B)
+    divides B/P, the blocks are those of the whole batch, and the node sums
+    finish with the rest of its tree, so results are independent of the
+    split.
 
     The forward runs unchecked under `np.errstate`, and one check of the
     loss layer's (loss sum, lowest logit) finds a non-finite forward, which
@@ -548,17 +547,18 @@ def forward_backward_shards(net, x, y, shards):
     the first layer whose output is not finite, the loss layer at the
     latest.  A finite step folds its batch statistics into the running
     statistics, counts its hits and runs the backward.  An empty batch is a
-    ConfigError, and one that `shards` does not divide a PartitionError.
+    ConfigError, and so is a label outside [0, num_classes), raised before
+    the step changes `net`; a batch that `shards` does not divide is a
+    PartitionError.
 
     Returns (loss_sum, correct_count, grads) where loss_sum is the tree-sum
     of per-example losses, correct_count the number of argmax hits, and grads
-    the sum-convention gradients of the nodes, laid out like
-    `net.params.grad`, in tree order: a (B/s, |W|) array whose row p is the
-    gradient of batch rows [i*s, (i+1)*s), i = `tree_order(B/s)[p]`, or a
-    (1, |W|) array of the whole batch's gradient when `shards` is 1.  For a
-    power-of-two m these are the P shard gradients.  Reduced with
-    `tree_reduce` in batch order, the rows give the whole tree's bits.
-    `grads` is a workspace array, valid until the next call on `net`.
+    a tuple of the sum-convention gradients of the B/s nodes in batch order,
+    each laid out like `net.params.grad`: node i is the gradient of batch
+    rows [i*s, (i+1)*s), and at P = 1 the one node is the whole batch.  For
+    a power-of-two B/P these are the P shard gradients.  Reduced with
+    `tree_reduce` in order, they give the whole tree's bits.  The rows are
+    workspace views, valid until the next call on `net`.
     """
     n = len(x)
     if n == 0:
@@ -571,6 +571,8 @@ def forward_backward_shards(net, x, y, shards):
     # perm is in range; mode="clip" spares the copy of `out` that "raise" makes
     x.take(plan.perm, axis=0, out=plan.input, mode="clip")
     y = y.take(plan.perm, out=plan.labels, mode="clip")
+    if plan.unsigned.max() >= net.num_classes:  # a negative label reads as 2**63 or more
+        _check_label_range(net, y)
     with np.errstate(all="ignore"):  # a non-finite forward raises below instead
         loss_sum, lowest = _forward(plan.layers)
         if not (math.isfinite(loss_sum) and math.isfinite(lowest)):
@@ -623,12 +625,17 @@ def check_batch(net, inputs, labels):
         raise ConfigError(f"labels must be whole numbers; {bad.size} are not: {bad[:5].tolist()}")
     if labels.shape != (len(inputs),):
         raise ConfigError(f"labels of shape {labels.shape} for {len(inputs)} examples")
+    _check_label_range(net, labels)
+    return inputs, labels
+
+
+def _check_label_range(net, labels):
+    """Raise ConfigError unless every int64 label names one of `net`'s classes."""
     lo, hi = labels.min(initial=0), labels.max(initial=0)
     if lo < 0 or hi >= net.num_classes:
         raise ConfigError(
             f"labels span [{lo}, {hi}] but the network has {net.num_classes} classes"
         )
-    return inputs, labels
 
 
 def loss_and_grad(net, inputs, labels):

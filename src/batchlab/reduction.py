@@ -17,14 +17,13 @@ FFT, under which a level adds the second half of the live rows to the first.
 :func:`tree_levels` states such a sum as a fixed list of in-place steps
 over views of the summands, so a caller that sums the same arrays every
 step builds the list once and runs it with :func:`run_levels`;
-:func:`tree_sum` builds one and runs it at once.  :func:`first_level`
-builds one level of :func:`tree_sum` from the summands into another array,
-and :func:`tree_levels` is that level run in place, level after level; given
-a second array, its first level writes there, so that a caller can sum
-values it must keep, like batch norm's input, without copying them.
+:func:`tree_sum` builds one and runs it at once.  Given a second array,
+its first level writes there and the later ones run in place over it, so
+that a caller can sum values it must keep, like batch norm's input, without
+copying them.
 """
 
-import functools
+from functools import partial
 
 import numpy as np
 
@@ -46,47 +45,33 @@ def tree_order(k):
     return np.concatenate([pairs, pairs + 1, np.arange(2 * h, k)])
 
 
-def _total(values):
-    # the view the sum is left in; row 0 of a 1-D array would be a scalar
-    # copied when the list is built, so a 1-D sum is left in values[:1]
-    return values[0] if values.ndim > 1 else values[:1]
-
-
-def first_level(src, dst):
-    """One level of :func:`tree_sum` over the rows of `src`, written into `dst`: (steps, live).
-
-    For k > 1 rows, h = k // 2, `steps` is
-    ``np.add(src[:h], src[h:2h], dst[:h])``, then an odd last row copied
-    to row h of `dst`; one row is copied to row 0 of `dst`.  `live` is the
-    view of `dst`'s first ceil(k/2) rows that ``run_levels(steps)`` fills,
-    the rows the next level adds.  `src` is only read, unless it is `dst`.
-    """
-    k = len(src)
-    if k == 1:
-        return [functools.partial(np.copyto, dst[:1], src)], dst[:1]
-    h = k // 2
-    steps = [functools.partial(np.add, src[:h], src[h:2 * h], dst[:h])]
-    if k % 2:
-        steps.append(functools.partial(np.copyto, dst[h:h + 1], src[k - 1:k]))
-    return steps, dst[:h + k % 2]
-
-
 def tree_levels(values, into=None):
     """:func:`tree_sum`'s steps over `values`, built once: (steps, total).
 
-    `steps` is :func:`first_level` with `dst` = `src`, level after level,
-    over the live rows of `values`: a level of k rows adds rows [h, 2h)
-    into rows [0, h), h = k // 2, and copies an odd last row to row h.
-    With `into`, the first level is ``first_level(values, into)`` and the
-    later ones run in place over `into`, so `values` is only read.  After
-    ``run_levels(steps)``, `total` is a view of row 0 of `into`, or of
-    `values` without it, holding the sum.
+    A level of k > 1 live rows, h = k // 2, is
+    ``np.add(src[:h], src[h:2h], dst[:h])``, then an odd last row copied to
+    row h of `dst`, and its first ceil(k/2) rows of `dst` are the next
+    level's live rows.  Without `into`, every level runs in place over
+    `values`.  With `into`, the first level reads `values` and writes
+    `into` (a single row is copied there) and the later ones run in place
+    over `into`, so `values` is only read.  After ``run_levels(steps)``, `total`
+    is a view of row 0 of `into`, or of `values` without it, holding the
+    sum; row 0 of a 1-D array would be a scalar copied when the list is
+    built, so a 1-D sum is left in its first element's view instead.
     """
-    steps, live = ([], values) if into is None else first_level(values, into)
-    while len(live) > 1:
-        level, live = first_level(live, live)
-        steps += level
-    return steps, _total(values if into is None else into)
+    src = values
+    dst = values if into is None else into
+    total = dst[0] if dst.ndim > 1 else dst[:1]
+    steps = []
+    if into is not None and len(values) == 1:
+        steps.append(partial(np.copyto, into[:1], values))
+    while len(src) > 1:
+        k, h = len(src), len(src) // 2
+        steps.append(partial(np.add, src[:h], src[h:2 * h], dst[:h]))
+        if k % 2:
+            steps.append(partial(np.copyto, dst[h:h + 1], src[k - 1:k]))
+        src = dst = dst[:h + k % 2]
+    return steps, total
 
 
 def run_levels(steps):

@@ -17,7 +17,7 @@ from batchlab.errors import (
     NumericOverflowError,
     PartitionError,
 )
-from batchlab.reduction import tree_order, tree_reduce
+from batchlab.reduction import tree_reduce
 from conftest import MLP_SPECS, SMALL_SPECS, random_batch
 
 NOBN_SPECS = [nn.dense(2, 4), nn.relu(), nn.dense(4, 3), nn.softmax_xent()]
@@ -35,7 +35,8 @@ def ready_workers(specs, seed, P):
 
 
 def local_grads(specs, seed, x, y, P):
-    """The node gradient rows of a fresh `specs` network on (x, y) split over P workers."""
+    """The node gradients, in batch order, of a fresh `specs` network on (x, y)
+    split over P workers."""
     return nn.forward_backward_shards(nn.init_network(specs, seed), x, y, P)[2]
 
 
@@ -61,7 +62,7 @@ class TestLocalGradients:
 
         ref = nn.init_network(SMALL_SPECS, 7)
         nn.loss_and_grad(ref, x, y)
-        assert grads.shape == (1, ref.params.grad.size)
+        assert [g.shape for g in grads] == [ref.params.grad.shape]
         # exact because B = 8 is a power of two
         assert np.array_equal(grads[0], 8 * ref.params.grad)
 
@@ -82,15 +83,15 @@ class TestLocalGradients:
 
     @pytest.mark.parametrize("B, P", [(24, 2), (48, 3), (12, 4)])
     def test_each_worker_gradient_is_its_own_slice(self, B, P):
-        # without batch norm no term couples the rows, so the gradient row
-        # of each node, rows [i*s, (i+1)*s) of one worker's slice, is
-        # exactly that of the node's rows run alone; row p is node
-        # tree_order(count)[p]
+        # without batch norm no term couples the rows, so the gradient of
+        # node i, rows [i*s, (i+1)*s) of one worker's slice, is exactly that
+        # of the node's rows run alone
         x, y = random_batch(10, n=B)
         grads = local_grads(NOBN_SPECS, 6, x, y, P)
         count, s = nodes(B, P)
-        assert grads.shape == (count, nn.init_network(NOBN_SPECS, 6).params.grad.size)
-        for g, i in zip(grads, tree_order(count)):
+        size = nn.init_network(NOBN_SPECS, 6).params.grad.size
+        assert [g.shape for g in grads] == [(size,)] * count
+        for i, g in enumerate(grads):
             (alone,) = local_grads(NOBN_SPECS, 6, x[i * s:(i + 1) * s], y[i * s:(i + 1) * s], 1)
             assert g.tobytes() == alone.tobytes()
 
@@ -99,8 +100,8 @@ class TestLocalGradients:
     ])
     def test_each_worker_gradient_is_the_pairwise_tree_of_its_examples(self, B, P):
         # the reduction law end to end: at c == 1 and without batch norm,
-        # every entry of node row p's gradient is tree_reduce, in batch
-        # order, over the one-example gradients of node tree_order(count)[p]
+        # every entry of node i's gradient is tree_reduce, in batch order,
+        # over the one-example gradients of its rows [i*s, (i+1)*s)
         m = B // P
         assert math.gcd(nn.leaf_block(B), m) == 1
         x, y = random_batch(11, n=B)
@@ -110,7 +111,7 @@ class TestLocalGradients:
         grads = local_grads(NOBN_SPECS, 6, x, y, P)
         count, s = nodes(B, P)
         assert len(grads) == count
-        for g, i in zip(grads, tree_order(count)):
+        for i, g in enumerate(grads):
             assert g.tobytes() == tree_reduce(alone[i * s:(i + 1) * s]).tobytes()
 
     def test_desynchronized_replica_detected(self):
@@ -136,7 +137,7 @@ class TestAllReduce:
 
     @pytest.mark.parametrize("B, P", [(16, 4), (24, 2), (45, 5), (96, 2)])
     def test_worker_partials_reduce_to_single_pass_sum(self, B, P):
-        # the node rows, taken in batch order, finish the 1-worker tree
+        # the node gradients, in batch order, finish the 1-worker tree
         x, y = random_batch(4, n=B)
         reduced = cluster.all_reduce(local_grads(SMALL_SPECS, 9, x, y, P))
         full = local_grads(SMALL_SPECS, 9, x, y, 1)

@@ -466,3 +466,31 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(sources) > 10
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+
+
+def test_sources_import_no_unused_name():
+    # No linter is a test dependency, so pyflakes' F401 is checked here: every
+    # name a src module imports is read in it, listed in its __all__, or
+    # imported by a statement marked "# noqa: F401".
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted((root / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        nodes = list(ast.walk(tree))
+        used = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in nodes:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            unused += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                       for name in names if name != "*" and name not in used]
+    assert unused == []

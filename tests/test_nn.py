@@ -243,6 +243,19 @@ class TestForwardLoss:
         assert exc.value.layer_index == 3
         assert small_net.checksum() == before
 
+    @pytest.mark.parametrize("P", [1, 4])
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_step_rejects_a_label_outside_the_classes(self, small_net, P, label):
+        # The loss layer's gather clips its indices, so a stray label would
+        # quietly train on another class; the step raises check_batch's
+        # error before it folds a batch statistic into the network.
+        x, y = random_batch(1)
+        y[5] = label
+        before = small_net.checksum()
+        with pytest.raises(ConfigError, match="but the network has 3 classes"):
+            nn.forward_backward_shards(small_net, x, y, P)
+        assert small_net.checksum() == before
+
     @pytest.mark.parametrize("weights, label, layer", [
         ([[1000.0, -1000.0]], 1, 1),
         ([[0.0, -np.inf]], 0, 0),
@@ -271,7 +284,7 @@ class TestStepPlan:
         net = nn.init_network(MLP_SPECS, 5)
         x, y = random_batch(B, n=B)
         loss_sum, _, grads = nn.forward_backward_shards(net, x, y, P)
-        want = grads.tobytes()
+        want = np.stack(grads).tobytes()
         plan = net.plans[B, P]
         for buf in net.workspace.values():
             buf.fill(np.nan)
@@ -285,12 +298,13 @@ class TestStepPlan:
         for _, backward, _ in reversed(plan.layers):
             run_levels(backward)
         run_levels(plan.backward[len(per_layer):])  # the tree over the gradient rows
-        assert grads.tobytes() == want
+        assert np.stack(grads).tobytes() == want
 
     @pytest.mark.parametrize("B, P", [(32, 1), (512, 1), (256, 16)])
     def test_step_arrays_start_on_a_cache_line(self, B, P):
-        # every float array a step touches, and every gradient row, starts on
-        # a 64-byte boundary, so no vector load straddles two lines
+        # every float array a step touches, and every node's gradient row,
+        # starts on a 64-byte boundary, so no vector load straddles two lines;
+        # every step hands back the plan's one tuple of those rows
         net = nn.init_network(MLP_SPECS, 5)
         x, y = random_batch(B, n=B)
         grads = nn.forward_backward_shards(net, x, y, P)[2]
@@ -298,7 +312,8 @@ class TestStepPlan:
         arrays = [*net.workspace.values(), net.running,
                   p.param, p.grad, p.momentum, p.step, *grads]
         assert [a.ctypes.data % nn.CACHE_LINE for a in arrays] == [0] * len(arrays)
-        assert grads.shape == (P, p.param.size)
+        assert [g.shape for g in grads] == [p.param.shape] * P
+        assert nn.forward_backward_shards(net, x, y, P)[2] is grads
 
 
 class TestRowCalls:

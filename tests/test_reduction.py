@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from batchlab.reduction import (
-    first_level,
     run_levels,
     tree_levels,
     tree_order,
@@ -83,8 +82,11 @@ def test_halving_tree_over_tree_order_matches_the_pairwise_tree(values):
     assert total.tobytes() == expected
     assert np.shares_memory(total, dst[:1])
     assert src.tobytes() == values[tree_order(len(values))].tobytes()
-    # that first level fills the destination's first ceil(k/2) rows
-    assert len(first_level(src, dst)[1]) == (len(values) + 1) // 2
+    # that first level fills the destination's first ceil(k/2) rows, and no
+    # level writes past them
+    live = (len(values) + 1) // 2
+    assert not np.isnan(dst[:live]).any()
+    assert np.isnan(dst[live:]).all()
 
 
 @given(st.integers(0, 5), st.integers(1, 12))
