@@ -2,8 +2,9 @@
 
 Sections: [network], [hyper], [cluster], [dataset], [output], and an
 optional [cost] for the analytical model, with every key listed once in
-SCHEMA.  Unknown sections and keys, and dataset keys the chosen kind never
-reads, are rejected, so a misspelled or ignored option fails loudly.
+SCHEMA.  Unknown sections and keys, dataset keys the chosen kind never
+reads, and LARS keys with LARS off are rejected, so a misspelled or
+ignored option fails loudly.
 parse_config(write_config(cfg)) returns an equal ExperimentConfig.
 """
 
@@ -20,6 +21,8 @@ from .optim import HyperParams
 _SYNTHETIC = frozenset({"kind", "n", "num_classes", "input_dim", "seed", "noise"})
 DATASET_KEYS = {"synthetic-blobs": _SYNTHETIC, "synthetic-spirals": _SYNTHETIC,
                 "idx-file": frozenset({"kind", "num_classes", "seed", "images", "labels"})}
+# The [hyper] keys only a run with lars_enabled = true reads.
+LARS_KEYS = ("lars_trust", "lars_skip")
 
 
 @dataclass
@@ -215,17 +218,23 @@ def _parse(text, origin):
     stray = [f"dataset.{key}" for key in values["dataset"] if key not in DATASET_KEYS[kind]]
     if stray:
         raise ConfigError(f"dataset kind {kind} does not read {', '.join(stray)}")
+    if not records["hyper"].lars_enabled:
+        stray = [f"hyper.{key}" for key in LARS_KEYS if ("hyper", key) in given]
+        if stray:
+            raise ConfigError(f"hyper.lars_enabled = false does not read {', '.join(stray)}")
     return ExperimentConfig(**values[None], **records)
 
 
 def config_items(cfg):
     """(section, key, value) triples in header order, but for None values and
-    dataset keys the dataset kind does not read."""
+    the keys the config does not read: dataset keys its kind does not read,
+    and LARS_KEYS with LARS off."""
     reads = DATASET_KEYS[cfg.dataset.kind]
+    unread = () if cfg.hyper.lars_enabled else LARS_KEYS
     items = []
     for sec, key, record, f in _ROWS:
         value = getattr(getattr(cfg, record) if record else cfg, f.name)
-        if value is not None and (sec != "dataset" or key in reads):
+        if value is not None and key not in unread and (sec != "dataset" or key in reads):
             items.append((sec, key, _CODECS[f.type][1](value)))
     return items
 

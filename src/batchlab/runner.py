@@ -55,44 +55,40 @@ def cost_report(cfg, n_train):
     return costmodel.total_time(profile, spec, cfg.hyper.epochs, n_train, cfg.hyper.batch_size)
 
 
-def _write_csv(path, header_meta, fieldnames, rows):
+def _cell(value):
+    """A CSV cell: a str as it is; anything else as repr(value), which
+    round-trips floats, with a numpy scalar written as the Python number it holds."""
+    if isinstance(value, str):
+        return value
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+def _write_csv(path, meta, columns, rows):
+    """Write the `# key = value` lines of `meta`, the column row, then one line
+    per row; each row maps every column to its raw value."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in header_meta:
-            fh.write(f"# {key} = {value}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        fh.writelines(f"# {key} = {value}\n" for key, value in meta)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[name]) for name in columns] for row in rows)
 
 
 def read_csv(path):
-    """Read an emitted CSV back into (meta dict, row dicts)."""
-    meta = {}
+    """Read an emitted CSV back into (meta dict, row dicts); the meta is the
+    `#` lines above the column row."""
     with open(path, encoding="utf-8") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            else:
-                lines.append(line)
-    return meta, list(csv.DictReader(lines))
+        lines = list(fh)
+    n = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    meta = {}
+    for line in lines[:n]:
+        key, _, value = line[1:].partition("=")
+        meta[key.strip()] = value.strip()
+    return meta, list(csv.DictReader(lines[n:]))
 
 
 def _columns(record_type):
     return [f.name for f in fields(record_type)]
-
-
-def _cell(value):
-    """A CSV cell: repr(value), which round-trips floats, with a numpy scalar
-    written as the Python number it holds."""
-    return repr(value.item() if isinstance(value, np.generic) else value)
-
-
-def _record_row(record, columns):
-    """Column -> cell for a dataclass record."""
-    return {name: _cell(getattr(record, name)) for name in columns}
 
 
 def _config_meta(cfg, extra=()):
@@ -115,26 +111,12 @@ def run_experiment(cfg, output_root="."):
                                str(nn.bitwise_invariant(b, cfg.workers)).lower()),
                               ("run.leaf_block", nn.leaf_block(b))])
 
-    log_columns = _columns(cluster.LogRow)
-    _write_csv(
-        out_dir / "log.csv",
-        meta,
-        log_columns,
-        ({**_record_row(r, log_columns), "wall_ms": f"{r.wall_ms:.3f}"} for r in log.rows),
-    )
-
+    _write_csv(out_dir / "log.csv", meta, _columns(cluster.LogRow),
+               ({**vars(r), "wall_ms": f"{r.wall_ms:.3f}"} for r in log.rows))
     if log.lambda_history:
-        names = sorted(log.lambda_history[0])
-        _write_csv(
-            out_dir / "lambdas.csv",
-            meta,
-            ["iteration"] + names,
-            ({"iteration": i, **{k: _cell(v) for k, v in lam.items()}}
-             for i, lam in enumerate(log.lambda_history)),
-        )
-
-    cost_columns = _columns(costmodel.CostReport)
-    _write_csv(out_dir / "cost.csv", meta, cost_columns, [_record_row(report, cost_columns)])
+        _write_csv(out_dir / "lambdas.csv", meta, ["iteration"] + sorted(log.lambda_history[0]),
+                   ({"iteration": i, **lam} for i, lam in enumerate(log.lambda_history)))
+    _write_csv(out_dir / "cost.csv", meta, _columns(costmodel.CostReport), [vars(report)])
     return ExperimentResult(cfg, log, report, out_dir)
 
 
@@ -169,13 +151,13 @@ def sweep(config_dir, output_root="."):
             "batch_size": res.cfg.hyper.batch_size,
             "workers": res.cfg.workers,
             "status": res.log.status,
-            "final_train_acc": _cell(final.train_acc) if final else "",
-            "final_test_acc": _cell(final.test_acc) if final else "",
+            "final_train_acc": final.train_acc if final else "",
+            "final_test_acc": final.test_acc if final else "",
             "iterations": res.report.iterations,
             "messages": res.report.messages,
             "comm_volume_words": res.report.comm_volume_words,
-            "total_time_model": _cell(res.report.total_time),
-            "energy_joules": _cell(res.report.energy_joules),
+            "total_time_model": res.report.total_time,
+            "energy_joules": res.report.energy_joules,
         })
     _write_csv(
         root / "sweep.csv",
@@ -212,10 +194,10 @@ def table2_rows():
             "iterations": report.iterations,
             "workers": workers,
             "iteration_time_expr": expr,
-            "t_comp": _cell(report.t_comp_per_iter),
-            "t_comm": _cell(report.t_comm_per_iter),
-            "t_iter": _cell(report.t_iter),
-            "total_time": _cell(report.total_time),
+            "t_comp": report.t_comp_per_iter,
+            "t_comm": report.t_comm_per_iter,
+            "t_iter": report.t_iter,
+            "total_time": report.total_time,
         })
     return rows
 
@@ -227,8 +209,8 @@ def table7_rows():
         rows.append({
             "model": m.name,
             "num_params": m.num_params,
-            "flops_per_image": _cell(m.flops_per_image),
-            "scaling_ratio": _cell(costmodel.scaling_ratio(m)),
+            "flops_per_image": m.flops_per_image,
+            "scaling_ratio": costmodel.scaling_ratio(m),
         })
     return rows
 
@@ -237,7 +219,7 @@ def table10_rows():
     rows = []
     for name in costmodel.cluster_preset_names():
         spec = costmodel.cluster_preset(name)
-        rows.append({"network": name, "alpha": _cell(spec.alpha), "beta": _cell(spec.beta)})
+        rows.append({"network": name, "alpha": spec.alpha, "beta": spec.beta})
     return rows
 
 
@@ -246,7 +228,7 @@ def table11_rows():
     return [
         {"operation": op,
          "type": "communication" if op.endswith("access") else "computation",
-         "energy_pj": _cell(pj)}
+         "energy_pj": pj}
         for op, pj in costmodel.energy_table().items()
     ]
 

@@ -63,6 +63,51 @@ EVERY_DATASET_KEY = {
     "idx-file": "num_classes = 4\nseed = 9\nimages = img.idx\nlabels = lab.idx\n",
 }
 
+# `batchlab tables` output: plain float arithmetic, the same bytes on any IEEE host
+TABLES = {
+    "table2.csv": (
+        "# source = batchlab tables\n"
+        "batch_size,epochs,iterations,workers,iteration_time_expr,t_comp,t_comm,t_iter,"
+        "total_time\n"
+        "512,100,250000,1,t_comp,"
+        "0.35481599999999996,0.0050007,0.35481599999999996,88703.99999999999\n"
+        "1024,100,125000,2,t_comp + log(2)*t_comm,"
+        "0.35481599999999996,0.0050007,0.3598167,44977.0875\n"
+        "2048,100,62500,4,t_comp + log(4)*t_comm,"
+        "0.35481599999999996,0.0050007,0.36481739999999996,22801.087499999998\n"
+        "4096,100,31250,8,t_comp + log(8)*t_comm,"
+        "0.35481599999999996,0.0050007,0.3698181,11556.815625\n"
+        "8192,100,15625,16,t_comp + log(16)*t_comm,"
+        "0.35481599999999996,0.0050007,0.37481879999999995,5856.543749999999\n"
+        "1280000,100,100,2500,t_comp + log(2500)*t_comm,"
+        "0.35481599999999996,0.0050007,0.4148244,41.48244\n"
+    ),
+    "table7.csv": (
+        "# source = batchlab tables\n"
+        "model,num_params,flops_per_image,scaling_ratio\n"
+        "alexnet,61000000,1500000000.0,24.59016393442623\n"
+        "resnet50,25000000,7700000000.0,308.0\n"
+    ),
+    "table10.csv": (
+        "# source = batchlab tables\n"
+        "network,alpha,beta\n"
+        "intel_10gbe,7.2e-06,9e-10\n"
+        "intel_qdr,1.2e-06,3e-10\n"
+        "mellanox_fdr,7e-07,2e-10\n"
+    ),
+    "table11.csv": (
+        "# source = batchlab tables\n"
+        "operation,type,energy_pj\n"
+        "32 bit int add,computation,0.1\n"
+        "32 bit float add,computation,0.9\n"
+        "32 bit register access,communication,1.0\n"
+        "32 bit int multiply,computation,3.1\n"
+        "32 bit float multiply,computation,3.7\n"
+        "32 bit SRAM access,communication,5.0\n"
+        "32 bit DRAM access,communication,640.0\n"
+    ),
+}
+
 
 def spirals_cfg(tmp_path, name="run", batch_size=32, workers=1, epochs=2, base_lr=0.05,
                 n=640, warmup=0, lars=False):
@@ -169,9 +214,11 @@ class TestConfigFormat:
         (("seed = 1\n", "seed = 1\nnoise = -0.2\n"), "need a finite dataset noise >= 0, got -0.2"),
         (("workers = 1\n", "workers = 0\n"), "need at least one worker"),
         (("workers = 1\n", "workers = 3\n"), "global batch 32 not divisible by 3 workers"),
+        (("lars_enabled = true", "lars_enabled = false"),
+         "hyper.lars_enabled = false does not read hyper.lars_trust, hyper.lars_skip"),
     ], ids=["stray-images", "stray-n", "kind", "cost-network", "cost-gamma", "lars-skip",
             "cluster-seed", "dataset-seed", "gamma-inf", "noise-nan", "noise-negative",
-            "no-workers", "indivisible-workers"])
+            "no-workers", "indivisible-workers", "lars-keys-with-lars-off"])
     def test_ignored_or_invalid_value_is_config_error(self, tmp_path, edit, message):
         text = config.write_config_string(spirals_cfg(tmp_path, name="run", lars=True))
         assert edit[0] in text
@@ -255,7 +302,7 @@ class TestRunExperiment:
                              train_acc=0.25, test_acc=float("nan"), lambda_min=1.0,
                              lambda_med=1.0, lambda_max=1.0, wall_ms=0.0)
         columns = runner._columns(cluster.LogRow)
-        runner._write_csv(tmp_path / "log.csv", [], columns, [runner._record_row(row, columns)])
+        runner._write_csv(tmp_path / "log.csv", [], columns, [vars(row)])
         _, (back,) = runner.read_csv(tmp_path / "log.csv")
         assert int(back["iteration"]) == 1 and float(back["loss"]) == 0.5
         # cells of Python values keep their bytes
@@ -293,6 +340,16 @@ class TestSweep:
         assert int(rows[0]["comm_volume_words"]) == 2 * int(rows[1]["comm_volume_words"])
         # messages = iterations * ceil(log2 P) = 0 for P = 1
         assert int(rows[0]["messages"]) == 0
+
+    def test_row_starting_with_a_hash_is_a_row(self, tmp_path):
+        # only the '#' lines above the column row are header lines
+        (tmp_path / "cfgs").mkdir()
+        self._write(tmp_path, "#b032", batch_size=32)
+        self._write(tmp_path, "b064", batch_size=64)
+        _, path = runner.sweep(tmp_path / "cfgs", output_root=tmp_path)
+        meta, rows = runner.read_csv(path)
+        assert meta == {"sweep.configs": "#b032.cfg,b064.cfg", "sweep.epochs": "2"}
+        assert [r["name"] for r in rows] == ["#b032", "b064"]
 
     def test_heterogeneous_epochs_rejected(self, tmp_path):
         (tmp_path / "cfgs").mkdir()
@@ -429,7 +486,7 @@ class TestCli:
     def test_rejected_config_writes_no_output(self, tmp_path, monkeypatch, edit):
         monkeypatch.setattr(runner, "run_experiment", lambda *a: pytest.fail("config accepted"))
         path = tmp_path / "bad.cfg"
-        path.write_text(config.write_config_string(spirals_cfg(tmp_path)).replace(*edit))
+        path.write_text(config.write_config_string(spirals_cfg(tmp_path, lars=True)).replace(*edit))
         code = cli.main(["train", str(path), "--output-root", str(tmp_path / "out")])
         assert code == runner.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
@@ -441,6 +498,11 @@ class TestCli:
                          "--batch", "512", "--epochs", "100", "--n", "1280000"]) == 0
         out = capsys.readouterr().out
         assert "iterations: 250000" in out
+
+    def test_tables_are_the_published_arithmetic_byte_for_byte(self, tmp_path):
+        assert cli.main(["tables", "--out", str(tmp_path)]) == 0
+        for name, text in TABLES.items():
+            assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
 
     def test_diverged_subprocess_exit_code(self, tmp_path):
         cfg = spirals_cfg(tmp_path, name="boom", base_lr=1e6, n=640, epochs=2)
